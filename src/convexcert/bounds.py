@@ -20,12 +20,17 @@ Conventions used throughout, for an interval [a, b] of width ``w``:
 
 where mean(f) is the integral mean and x_λ, x_λ' are the reflected
 pair λa+(1-λ)b and (1-λ)a+λb.
+
+:data:`RULES` pairs each rule with the inputs it needs, its enclosure
+and its oracle target, all read from one :class:`Problem`; the CLI and
+the falsification harness both iterate it.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Union
 
 from .core import (
     AdmissibilityViolated,
@@ -55,7 +60,9 @@ from .quadrature import (
 )
 
 __all__ = [
-    "GapKind",
+    "Problem",
+    "RuleSpec",
+    "RULES",
     "WeightLike",
     "hermite_hadamard",
     "fejer",
@@ -85,27 +92,6 @@ _CONVEXITY_POINTS = 101
 WeightLike = Union[WeightSpec, FunctionSpec]
 
 
-class GapKind(Enum):
-    """Names the gap quantities the enclosures bracket."""
-
-    CHORD = "chord"
-    SYMMETRIC_PAIR = "symmetric-pair"
-    MIDPOINT = "midpoint"
-    TRAPEZOID = "trapezoid"
-    WEIGHTED_TRAPEZOID = "weighted-trapezoid"
-    WEIGHTED_MIDPOINT = "weighted-midpoint"
-
-
-_GAP_RULE = {
-    GapKind.CHORD: Rule.CHORD_GAP,
-    GapKind.SYMMETRIC_PAIR: Rule.SYMMETRIC_PAIR_GAP,
-    GapKind.MIDPOINT: Rule.MIDPOINT_GAP,
-    GapKind.TRAPEZOID: Rule.TRAPEZOID_GAP,
-    GapKind.WEIGHTED_TRAPEZOID: Rule.WEIGHTED_TRAPEZOID_GAP,
-    GapKind.WEIGHTED_MIDPOINT: Rule.WEIGHTED_MIDPOINT_GAP,
-}
-
-
 # --------------------------------------------------------------------------
 # Internal helpers
 # --------------------------------------------------------------------------
@@ -127,6 +113,17 @@ def _enclosure(lower: float, upper: float, description: str, rule: Rule) -> Encl
             )
         lower, upper = upper, lower
     return Enclosure(lower, upper, description, rule)
+
+
+def _band(
+    c: CurvatureBounds, scale: float, description: str, rule: Rule, divisor: float = 1.0
+) -> Enclosure:
+    """The curvature band times a nonnegative scale: (m·s/d, M·s/d).
+
+    ``divisor`` divides after the product: m·s/d and m·(s/d) can
+    differ in the last bit, and the bisection bands round as m·s/d.
+    """
+    return _enclosure(c.m * scale / divisor, c.M * scale / divisor, description, rule)
 
 
 def _require_convex(f: FunctionSpec, interval: Interval) -> None:
@@ -177,14 +174,14 @@ def _integral(f, interval: Interval, tol: float, what: str) -> float:
 # --------------------------------------------------------------------------
 
 
-def hermite_hadamard(f: FunctionSpec, interval: Interval, tol: float = 1e-10) -> Enclosure:
+def hermite_hadamard(f: FunctionSpec, interval: Interval) -> Enclosure:
     """Enclosure (f(midpoint), (f(a)+f(b))/2) for the integral mean of
     a convex f.
 
     Raises:
         ConvexityViolated: if sampled f'' dips below -1e-9.
-        InvalidInterval: implicitly for degenerate intervals (the
-            integral mean needs a < b).
+        ParameterOutOfRange: for degenerate intervals (the integral
+            mean needs a < b).
     """
     if interval.is_degenerate():
         raise ParameterOutOfRange("integral mean needs a non-degenerate interval")
@@ -231,11 +228,8 @@ def chord_gap_bounds(c: CurvatureBounds, interval: Interval, lam: Lambda) -> Enc
     """Enclosure for the chord gap λf(a) + (1-λ)f(b) - f(λa + (1-λ)b):
     both sides are λ(1-λ)(b-a)²/2 times the curvature bound."""
     s = lam.value * (1.0 - lam.value) * interval.width**2 / 2.0
-    return _enclosure(
-        c.m * s,
-        c.M * s,
-        f"chord gap at lambda={lam.value} on [{interval.a}, {interval.b}]",
-        Rule.CHORD_GAP,
+    return _band(
+        c, s, f"chord gap at lambda={lam.value} on [{interval.a}, {interval.b}]", Rule.CHORD_GAP
     )
 
 
@@ -245,9 +239,9 @@ def symmetric_pair_gap_bounds(
     """Enclosure for the reflected-pair gap
     (f(λa+(1-λ)b) + f((1-λ)a+λb))/2 - f((a+b)/2), scale (1-2λ)²(b-a)²/8."""
     s = (1.0 - 2.0 * lam.value) ** 2 * interval.width**2 / 8.0
-    return _enclosure(
-        c.m * s,
-        c.M * s,
+    return _band(
+        c,
+        s,
         f"symmetric pair gap at lambda={lam.value} on [{interval.a}, {interval.b}]",
         Rule.SYMMETRIC_PAIR_GAP,
     )
@@ -256,17 +250,13 @@ def symmetric_pair_gap_bounds(
 def hh_midpoint_gap_bounds(c: CurvatureBounds, interval: Interval) -> Enclosure:
     """Enclosure [m w²/24, M w²/24] for mean(f) - f((a+b)/2)."""
     s = interval.width**2 / 24.0
-    return _enclosure(
-        c.m * s, c.M * s, f"midpoint gap on [{interval.a}, {interval.b}]", Rule.MIDPOINT_GAP
-    )
+    return _band(c, s, f"midpoint gap on [{interval.a}, {interval.b}]", Rule.MIDPOINT_GAP)
 
 
 def hh_trapezoid_gap_bounds(c: CurvatureBounds, interval: Interval) -> Enclosure:
     """Enclosure [m w²/12, M w²/12] for (f(a)+f(b))/2 - mean(f)."""
     s = interval.width**2 / 12.0
-    return _enclosure(
-        c.m * s, c.M * s, f"trapezoid gap on [{interval.a}, {interval.b}]", Rule.TRAPEZOID_GAP
-    )
+    return _band(c, s, f"trapezoid gap on [{interval.a}, {interval.b}]", Rule.TRAPEZOID_GAP)
 
 
 def fejer_trapezoid_gap_bounds(
@@ -282,9 +272,9 @@ def fejer_trapezoid_gap_bounds(
     ws = _as_weight(g, interval)
     _require_symmetric(ws)
     mab = max(_oracle(moment_ab(ws.function, interval, tol), "endpoint moment"), 0.0)
-    return _enclosure(
-        0.5 * c.m * mab,
-        0.5 * c.M * mab,
+    return _band(
+        c,
+        0.5 * mab,
         f"weighted trapezoid gap of {f.text} with weight {ws.function.text}",
         Rule.WEIGHTED_TRAPEZOID_GAP,
     )
@@ -302,11 +292,12 @@ def fejer_midpoint_gap_bounds(
     ws = _as_weight(g, interval)
     _require_symmetric(ws)
     mc = max(_oracle(moment_center(ws.function, interval, tol), "central moment"), 0.0)
-    return _enclosure(
-        c.m * mc / 8.0,
-        c.M * mc / 8.0,
+    return _band(
+        c,
+        mc,
         f"weighted midpoint gap of {f.text} with weight {ws.function.text}",
         Rule.WEIGHTED_MIDPOINT_GAP,
+        8.0,
     )
 
 
@@ -362,9 +353,7 @@ def complement_weight_chains(
 # --------------------------------------------------------------------------
 
 
-def bisection_bounds(
-    f: FunctionSpec, c: CurvatureBounds, interval: Interval, tol: float = 1e-10
-) -> tuple[Enclosure, Enclosure]:
+def bisection_bounds(c: CurvatureBounds, interval: Interval) -> tuple[Enclosure, Enclosure]:
     """Halved-interval refinements of the gap enclosures (weight ≡ 1).
 
     Applying the trapezoid-gap band on each half of [a, b] and summing
@@ -384,19 +373,11 @@ def bisection_bounds(
     if interval.is_degenerate():
         raise ParameterOutOfRange("bisection bounds need a non-degenerate interval")
     w2 = interval.width**2
-    e1 = _enclosure(
-        c.m * w2 / 48.0,
-        c.M * w2 / 48.0,
-        f"trapezoid-vs-mean bisection gap on [{interval.a}, {interval.b}]",
-        Rule.BISECTION_MEAN,
+    on = f"on [{interval.a}, {interval.b}]"
+    return (
+        _band(c, w2, f"trapezoid-vs-mean bisection gap {on}", Rule.BISECTION_MEAN, 48.0),
+        _band(c, w2, f"mean-vs-quarter-points bisection gap {on}", Rule.BISECTION_QUARTER, 96.0),
     )
-    e2 = _enclosure(
-        c.m * w2 / 96.0,
-        c.M * w2 / 96.0,
-        f"mean-vs-quarter-points bisection gap on [{interval.a}, {interval.b}]",
-        Rule.BISECTION_QUARTER,
-    )
-    return e1, e2
 
 
 # --------------------------------------------------------------------------
@@ -616,27 +597,29 @@ def target_fejer(f, g: WeightLike, interval: Interval, tol: float = 1e-10) -> Qu
 
 
 def target_gap(
-    kind: GapKind,
+    rule: Rule,
     f,
     interval: Interval,
     lam: Lambda | None = None,
     g: WeightLike | None = None,
     tol: float = 1e-10,
 ) -> QuadResult:
-    """Oracle value of the gap quantity named by ``kind``.
+    """Oracle value of the gap quantity named by one of the six
+    ``*_GAP`` rules.
 
     Evaluation-only targets (chord, symmetric pair) come back with a
     zero error estimate; integral-backed targets carry the quadrature
-    convergence flag.
+    convergence flag, and each integral's error estimate scaled by the
+    coefficient that integral carries in the gap.
     """
     a, b = interval.a, interval.b
-    if kind is GapKind.CHORD:
+    if rule is Rule.CHORD_GAP:
         if lam is None:
             raise ParameterOutOfRange("chord gap needs lambda")
         lv = lam.value
         val = lv * f(a) + (1.0 - lv) * f(b) - f(lv * a + (1.0 - lv) * b)
         return QuadResult(val, 0.0, 3, True)
-    if kind is GapKind.SYMMETRIC_PAIR:
+    if rule is Rule.SYMMETRIC_PAIR_GAP:
         if lam is None:
             raise ParameterOutOfRange("symmetric pair gap needs lambda")
         lv = lam.value
@@ -644,37 +627,42 @@ def target_gap(
         v = (1.0 - lv) * a + lv * b
         val = 0.5 * (f(u) + f(v)) - f(0.5 * (a + b))
         return QuadResult(val, 0.0, 3, True)
-    if kind is GapKind.MIDPOINT:
+    if rule is Rule.MIDPOINT_GAP or rule is Rule.TRAPEZOID_GAP:
         r = integrate(f, interval, tol)
-        return QuadResult(r.value / interval.width - f(interval.midpoint), r.error_estimate, r.evaluations, r.converged)
-    if kind is GapKind.TRAPEZOID:
-        r = integrate(f, interval, tol)
-        return QuadResult(0.5 * (f(a) + f(b)) - r.value / interval.width, r.error_estimate, r.evaluations, r.converged)
+        mean = r.value / interval.width
+        if rule is Rule.MIDPOINT_GAP:
+            val = mean - f(interval.midpoint)
+        else:
+            val = 0.5 * (f(a) + f(b)) - mean
+        return QuadResult(val, r.error_estimate / interval.width, r.evaluations, r.converged)
+    if rule not in (Rule.WEIGHTED_TRAPEZOID_GAP, Rule.WEIGHTED_MIDPOINT_GAP):
+        raise ParameterOutOfRange(f"{rule.value} is not a gap rule")
     if g is None:
-        raise ParameterOutOfRange(f"{kind.value} gap needs a weight")
+        raise ParameterOutOfRange(f"{rule.value} needs a weight")
     gfn = g.function if isinstance(g, WeightSpec) else g
     rg = integrate(gfn, interval, tol)
     rfg = integrate(lambda t: f(t) * gfn(t), interval, tol)
-    conv = rg.converged and rfg.converged
-    err = rg.error_estimate + rfg.error_estimate
-    evals = rg.evaluations + rfg.evaluations
-    if kind is GapKind.WEIGHTED_TRAPEZOID:
-        val = 0.5 * (f(a) + f(b)) * rg.value - rfg.value
+    if rule is Rule.WEIGHTED_TRAPEZOID_GAP:
+        coef = 0.5 * (f(a) + f(b))
+        val = coef * rg.value - rfg.value
     else:
-        val = rfg.value - f(interval.midpoint) * rg.value
-    return QuadResult(val, err, evals, conv)
+        coef = f(interval.midpoint)
+        val = rfg.value - coef * rg.value
+    err = abs(coef) * rg.error_estimate + rfg.error_estimate
+    return QuadResult(val, err, rg.evaluations + rfg.evaluations, rg.converged and rfg.converged)
 
 
 def target_bisection(f, interval: Interval, tol: float = 1e-10) -> tuple[QuadResult, QuadResult]:
-    """Oracle values of the two bisection gap targets."""
+    """Oracle values of the two bisection gap targets (one integral of f)."""
     a, b = interval.a, interval.b
     r = integrate(f, interval, tol)
     mean = r.value / interval.width
+    err = r.error_estimate / interval.width
     t1 = 0.5 * (0.5 * (f(a) + f(b)) + f(interval.midpoint)) - mean
     t2 = mean - 0.5 * (f(0.25 * (3.0 * a + b)) + f(0.25 * (a + 3.0 * b)))
     return (
-        QuadResult(t1, r.error_estimate, r.evaluations, r.converged),
-        QuadResult(t2, r.error_estimate, r.evaluations, r.converged),
+        QuadResult(t1, err, r.evaluations, r.converged),
+        QuadResult(t2, err, r.evaluations, r.converged),
     )
 
 
@@ -687,3 +675,124 @@ def target_vasic_lackovic(
     window = Interval(center - y, center + y)
     gfn = g.function if isinstance(g, WeightSpec) else g
     return integrate(lambda t: f(t) * gfn(t), window, tol)
+
+
+# --------------------------------------------------------------------------
+# Rule registry
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Everything a rule in :data:`RULES` may read: f on an interval,
+    the oracle tolerance, and whichever of curvature band, weight, λ,
+    node weights and window half-width ``y`` the rule needs (the rest
+    may stay ``None``)."""
+
+    f: FunctionSpec
+    interval: Interval
+    tol: float = 1e-10
+    band: CurvatureBounds | None = None
+    weight: WeightLike | None = None
+    lam: Lambda | None = None
+    nodes: NodeWeights | None = None
+    y: float | None = None
+
+    @cached_property
+    def bisection(self) -> tuple[QuadResult, QuadResult]:
+        """Both bisection targets, so the pair shares one integral of f."""
+        return target_bisection(self.f, self.interval, self.tol)
+
+
+@dataclass(frozen=True)
+class RuleSpec:
+    """One inequality: the :class:`Problem` fields it needs, its
+    enclosure and its oracle target.
+
+    ``label`` is the operation name in falsification reports.  A
+    ``window`` rule reads ``weight`` (over its window), ``nodes`` and
+    ``y``; a ``weight`` rule reads ``weight`` over the whole interval.
+    """
+
+    label: str
+    enclose: Callable[[Problem], Enclosure]
+    target: Callable[[Problem], QuadResult]
+    band: bool = False
+    weight: bool = False
+    lam: bool = False
+    window: bool = False
+
+
+# Every rule except the Young pair (which live in :mod:`convexcert.means`),
+# in the order ``convexcert bounds --rule all`` prints them.
+RULES: dict[Rule, RuleSpec] = {
+    Rule.HERMITE_HADAMARD: RuleSpec(
+        "hermite_hadamard",
+        lambda p: hermite_hadamard(p.f, p.interval),
+        lambda p: target_integral_mean(p.f, p.interval, p.tol),
+    ),
+    Rule.FEJER: RuleSpec(
+        "fejer",
+        lambda p: fejer(p.f, p.weight, p.interval, p.tol),
+        lambda p: target_fejer(p.f, p.weight, p.interval, p.tol),
+        weight=True,
+    ),
+    Rule.WEIGHTED_TRAPEZOID_GAP: RuleSpec(
+        "fejer_trapezoid_gap_bounds",
+        lambda p: fejer_trapezoid_gap_bounds(p.f, p.weight, p.band, p.interval, p.tol),
+        lambda p: target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, p.f, p.interval, g=p.weight, tol=p.tol),
+        band=True,
+        weight=True,
+    ),
+    Rule.WEIGHTED_MIDPOINT_GAP: RuleSpec(
+        "fejer_midpoint_gap_bounds",
+        lambda p: fejer_midpoint_gap_bounds(p.f, p.weight, p.band, p.interval, p.tol),
+        lambda p: target_gap(Rule.WEIGHTED_MIDPOINT_GAP, p.f, p.interval, g=p.weight, tol=p.tol),
+        band=True,
+        weight=True,
+    ),
+    Rule.MIDPOINT_GAP: RuleSpec(
+        "hh_midpoint_gap_bounds",
+        lambda p: hh_midpoint_gap_bounds(p.band, p.interval),
+        lambda p: target_gap(Rule.MIDPOINT_GAP, p.f, p.interval, tol=p.tol),
+        band=True,
+    ),
+    Rule.TRAPEZOID_GAP: RuleSpec(
+        "hh_trapezoid_gap_bounds",
+        lambda p: hh_trapezoid_gap_bounds(p.band, p.interval),
+        lambda p: target_gap(Rule.TRAPEZOID_GAP, p.f, p.interval, tol=p.tol),
+        band=True,
+    ),
+    Rule.CHORD_GAP: RuleSpec(
+        "chord_gap_bounds",
+        lambda p: chord_gap_bounds(p.band, p.interval, p.lam),
+        lambda p: target_gap(Rule.CHORD_GAP, p.f, p.interval, lam=p.lam),
+        band=True,
+        lam=True,
+    ),
+    Rule.SYMMETRIC_PAIR_GAP: RuleSpec(
+        "symmetric_pair_gap_bounds",
+        lambda p: symmetric_pair_gap_bounds(p.band, p.interval, p.lam),
+        lambda p: target_gap(Rule.SYMMETRIC_PAIR_GAP, p.f, p.interval, lam=p.lam),
+        band=True,
+        lam=True,
+    ),
+    Rule.BISECTION_MEAN: RuleSpec(
+        "bisection_bounds_mean",
+        lambda p: bisection_bounds(p.band, p.interval)[0],
+        lambda p: p.bisection[0],
+        band=True,
+    ),
+    Rule.BISECTION_QUARTER: RuleSpec(
+        "bisection_bounds_quarter",
+        lambda p: bisection_bounds(p.band, p.interval)[1],
+        lambda p: p.bisection[1],
+        band=True,
+    ),
+    Rule.VASIC_LACKOVIC: RuleSpec(
+        "vasic_lackovic",
+        lambda p: vasic_lackovic(p.f, p.weight, p.nodes, p.interval, p.y, p.tol),
+        lambda p: target_vasic_lackovic(p.f, p.weight, p.nodes, p.interval, p.y, p.tol),
+        window=True,
+    ),
+}

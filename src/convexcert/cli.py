@@ -1,5 +1,9 @@
 """Command-line front end.
 
+``bounds`` runs the rules of :data:`convexcert.bounds.RULES` (one named
+rule, or every rule whose inputs were given) on one problem and prints
+one certificate per rule.
+
 Subcommands::
 
     convexcert bounds --f "exp(x)" --a 0 --b 1 --rule midpoint-gap
@@ -18,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bounds as bd
 from . import means as mn
@@ -43,21 +47,8 @@ __all__ = ["Certificate", "main"]
 
 _FMT = "{:.12g}"
 
-_CURVATURE_RULES = frozenset(
-    {
-        Rule.CHORD_GAP,
-        Rule.SYMMETRIC_PAIR_GAP,
-        Rule.MIDPOINT_GAP,
-        Rule.TRAPEZOID_GAP,
-        Rule.WEIGHTED_TRAPEZOID_GAP,
-        Rule.WEIGHTED_MIDPOINT_GAP,
-        Rule.BISECTION_MEAN,
-        Rule.BISECTION_QUARTER,
-    }
-)
-
 _RULE_ALIASES = {"hh": Rule.HERMITE_HADAMARD}
-_BOUNDS_RULES = {r.value: r for r in Rule if r not in (Rule.YOUNG_RATIO, Rule.YOUNG_DIFFERENCE)}
+_BOUNDS_RULES = {r.value: r for r in bd.RULES}
 
 
 @dataclass(frozen=True)
@@ -136,28 +127,21 @@ def _emit_certificates(certs: list[Certificate], as_json: bool, notes: list[str]
 
 
 def _resolve_rules(name: str, have_weight: bool, have_window: bool) -> list[Rule]:
-    if name != "all":
-        rule = _RULE_ALIASES.get(name) or _BOUNDS_RULES.get(name)
-        if rule is None:
-            known = ", ".join(["hh", "all"] + sorted(_BOUNDS_RULES))
-            raise ParameterOutOfRange(f"unknown rule {name!r}; known rules: {known}")
-        if rule is Rule.VASIC_LACKOVIC and not have_window:
-            raise ParameterOutOfRange("rule vasic-lackovic needs --p, --q and --y")
-        return [rule]
-    rules = [
-        Rule.HERMITE_HADAMARD,
-        Rule.MIDPOINT_GAP,
-        Rule.TRAPEZOID_GAP,
-        Rule.CHORD_GAP,
-        Rule.SYMMETRIC_PAIR_GAP,
-        Rule.BISECTION_MEAN,
-        Rule.BISECTION_QUARTER,
-    ]
-    if have_weight:
-        rules[1:1] = [Rule.FEJER, Rule.WEIGHTED_TRAPEZOID_GAP, Rule.WEIGHTED_MIDPOINT_GAP]
-    if have_window:
-        rules.append(Rule.VASIC_LACKOVIC)
-    return rules
+    """One named rule, or for ``all`` every registry rule whose weight
+    and window inputs were given."""
+    if name == "all":
+        return [
+            rule
+            for rule, spec in bd.RULES.items()
+            if (have_weight or not spec.weight) and (have_window or not spec.window)
+        ]
+    rule = _RULE_ALIASES.get(name) or _BOUNDS_RULES.get(name)
+    if rule is None:
+        known = ", ".join(["hh", "all"] + sorted(_BOUNDS_RULES))
+        raise ParameterOutOfRange(f"unknown rule {name!r}; known rules: {known}")
+    if bd.RULES[rule].window and not have_window:
+        raise ParameterOutOfRange(f"rule {rule.value} needs --p, --q and --y")
+    return [rule]
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -176,78 +160,46 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if have_window and (args.p is None or args.q is None or args.y is None):
         raise ParameterOutOfRange("--p, --q and --y must be given together")
     rules = _resolve_rules(args.rule, args.g is not None, have_window)
+    specs = [bd.RULES[rule] for rule in rules]
 
     weight = None
     if args.g is not None:
         weight = evaluation_spec(args.g)
         inputs["g"] = weight.text
 
-    curvature: CurvatureBounds | None = None
+    band: CurvatureBounds | None = None
     if (args.m is None) != (args.curvature_max is None):
         raise ParameterOutOfRange("--m and --M must be given together")
-    if any(r in _CURVATURE_RULES for r in rules):
+    if any(spec.band for spec in specs):
         if args.m is not None:
-            curvature = CurvatureBounds(args.m, args.curvature_max, Provenance.USER_SUPPLIED)
+            band = CurvatureBounds(args.m, args.curvature_max, Provenance.USER_SUPPLIED)
         else:
-            curvature = curvature_range(f, interval)
-        inputs["m"] = repr(curvature.m)
-        inputs["M"] = repr(curvature.M)
-        if args.require_exact and curvature.provenance is Provenance.SAMPLED_HEURISTIC:
+            band = curvature_range(f, interval)
+        inputs["m"] = repr(band.m)
+        inputs["M"] = repr(band.M)
+        if args.require_exact and band.provenance is Provenance.SAMPLED_HEURISTIC:
             raise ParameterOutOfRange(
                 "curvature band is sampled-heuristic; supply --m/--M or drop --require-exact"
             )
 
     lam = Lambda(args.lam if args.lam is not None else 0.5)
+    if weight is None and any(spec.weight or spec.window for spec in specs):
+        weight = evaluation_spec("1")
+    problem = bd.Problem(f, interval, tol, band, weight, lam, y=args.y)
     certs: list[Certificate] = []
-    for rule in rules:
+    for rule, spec in zip(rules, specs):
         rule_inputs = dict(inputs)
-        prov = curvature.provenance.value if (curvature and rule in _CURVATURE_RULES) else "not-used"
-        if rule is Rule.HERMITE_HADAMARD:
-            enc = bd.hermite_hadamard(f, interval, tol)
-            oracle: QuadResult | float = bd.target_integral_mean(f, interval, tol)
-        elif rule is Rule.FEJER:
-            g = weight if weight is not None else evaluation_spec("1")
-            rule_inputs.setdefault("g", g.text)
-            enc = bd.fejer(f, g, interval, tol)
-            oracle = bd.target_fejer(f, g, interval, tol)
-        elif rule is Rule.MIDPOINT_GAP:
-            enc = bd.hh_midpoint_gap_bounds(curvature, interval)
-            oracle = bd.target_gap(bd.GapKind.MIDPOINT, f, interval, tol=tol)
-        elif rule is Rule.TRAPEZOID_GAP:
-            enc = bd.hh_trapezoid_gap_bounds(curvature, interval)
-            oracle = bd.target_gap(bd.GapKind.TRAPEZOID, f, interval, tol=tol)
-        elif rule is Rule.CHORD_GAP:
+        if spec.lam:
             rule_inputs["lambda"] = repr(lam.value)
-            enc = bd.chord_gap_bounds(curvature, interval, lam)
-            oracle = bd.target_gap(bd.GapKind.CHORD, f, interval, lam=lam)
-        elif rule is Rule.SYMMETRIC_PAIR_GAP:
-            rule_inputs["lambda"] = repr(lam.value)
-            enc = bd.symmetric_pair_gap_bounds(curvature, interval, lam)
-            oracle = bd.target_gap(bd.GapKind.SYMMETRIC_PAIR, f, interval, lam=lam)
-        elif rule is Rule.WEIGHTED_TRAPEZOID_GAP:
-            g = weight if weight is not None else evaluation_spec("1")
-            rule_inputs.setdefault("g", g.text)
-            enc = bd.fejer_trapezoid_gap_bounds(f, g, curvature, interval, tol)
-            oracle = bd.target_gap(bd.GapKind.WEIGHTED_TRAPEZOID, f, interval, g=g, tol=tol)
-        elif rule is Rule.WEIGHTED_MIDPOINT_GAP:
-            g = weight if weight is not None else evaluation_spec("1")
-            rule_inputs.setdefault("g", g.text)
-            enc = bd.fejer_midpoint_gap_bounds(f, g, curvature, interval, tol)
-            oracle = bd.target_gap(bd.GapKind.WEIGHTED_MIDPOINT, f, interval, g=g, tol=tol)
-        elif rule is Rule.BISECTION_MEAN:
-            enc = bd.bisection_bounds(f, curvature, interval, tol)[0]
-            oracle = bd.target_bisection(f, interval, tol)[0]
-        elif rule is Rule.BISECTION_QUARTER:
-            enc = bd.bisection_bounds(f, curvature, interval, tol)[1]
-            oracle = bd.target_bisection(f, interval, tol)[1]
-        else:  # Rule.VASIC_LACKOVIC
-            weights = NodeWeights(args.p, args.q)
-            g = weight if weight is not None else evaluation_spec("1")
-            rule_inputs.setdefault("g", g.text)
+        if spec.weight or spec.window:
+            rule_inputs.setdefault("g", weight.text)
+        if spec.window:
             rule_inputs.update({"p": repr(args.p), "q": repr(args.q), "y": repr(args.y)})
-            enc = bd.vasic_lackovic(f, g, weights, interval, args.y, tol)
-            oracle = bd.target_vasic_lackovic(f, g, weights, interval, args.y, tol)
-        certs.append(_make_certificate(rule, interval, rule_inputs, enc, oracle, tol, prov))
+            # node weights are validated only once a window rule runs
+            problem = replace(problem, nodes=NodeWeights(args.p, args.q))
+        prov = band.provenance.value if spec.band else "not-used"
+        enc, target = spec.enclose(problem), spec.target(problem)
+        certs.append(_make_certificate(rule, interval, rule_inputs, enc, target, tol, prov))
     return _emit_certificates(certs, args.json, notes)
 
 
@@ -261,29 +213,15 @@ def cmd_young(args: argparse.Namespace) -> int:
     lo, hi = min(a, b), max(a, b)
     interval = Interval(lo, hi)
     inputs = {"a": repr(a), "b": repr(b), "lambda": repr(lam)}
-    certs: list[Certificate] = []
-    if args.form in ("ratio", "both"):
-        certs.append(
-            _make_certificate(
-                Rule.YOUNG_RATIO,
-                interval,
-                inputs,
-                mn.young_ratio_bounds(a, b, lam),
-                mn.young_ratio_target(a, b, lam),
-                args.tol,
-            )
-        )
-    if args.form in ("difference", "both"):
-        certs.append(
-            _make_certificate(
-                Rule.YOUNG_DIFFERENCE,
-                interval,
-                inputs,
-                mn.young_difference_bounds(a, b, lam),
-                mn.young_difference_target(a, b, lam),
-                args.tol,
-            )
-        )
+    forms = [
+        ("ratio", Rule.YOUNG_RATIO, mn.young_ratio_bounds, mn.young_ratio_target),
+        ("difference", Rule.YOUNG_DIFFERENCE, mn.young_difference_bounds, mn.young_difference_target),
+    ]
+    certs = [
+        _make_certificate(rule, interval, inputs, enclose(a, b, lam), target(a, b, lam), args.tol)
+        for form, rule, enclose, target in forms
+        if args.form in (form, "both")
+    ]
     return _emit_certificates(certs, args.json, [])
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import bounds as bd
 from . import means as mn
@@ -321,11 +321,11 @@ class _Battery:
                 FailureRecord(self._trial, operation, self._recipe, details)
             )
 
-    def containment(self, operation: str, make_enclosure, make_target) -> None:
-        """Check an enclosure against an oracle target with slack."""
+    def containment(self, operation: str, enclose, target_of, *args) -> None:
+        """Check ``enclose(*args)`` against the oracle ``target_of(*args)`` with slack."""
         try:
-            enc = make_enclosure()
-            target = make_target()
+            enc = enclose(*args)
+            target = target_of(*args)
         except OracleInconclusive:
             self._record(operation, _INCONCLUSIVE, 0.0, "")
             return
@@ -376,68 +376,30 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
     g_inc = random_monotone_weight(_mix(master_seed, index, 3), interval, decreasing=False)
     rng = random.Random(_mix(master_seed, index, 4))
 
-    battery.containment(
-        "hermite_hadamard",
-        lambda: bd.hermite_hadamard(f, interval, tol),
-        lambda: bd.target_integral_mean(f, interval, tol),
-    )
-    battery.containment(
-        "fejer",
-        lambda: bd.fejer(f, g_sym, interval, tol),
-        lambda: bd.target_fejer(f, g_sym, interval, tol),
-    )
-    battery.containment(
-        "hh_midpoint_gap_bounds",
-        lambda: bd.hh_midpoint_gap_bounds(c, interval),
-        lambda: bd.target_gap(bd.GapKind.MIDPOINT, f, interval, tol=tol),
-    )
-    battery.containment(
-        "hh_trapezoid_gap_bounds",
-        lambda: bd.hh_trapezoid_gap_bounds(c, interval),
-        lambda: bd.target_gap(bd.GapKind.TRAPEZOID, f, interval, tol=tol),
-    )
-    for lam_value in _LAMBDA_GRID:
-        lam = Lambda(lam_value)
-        battery.containment(
-            "chord_gap_bounds",
-            lambda lam=lam: bd.chord_gap_bounds(c, interval, lam),
-            lambda lam=lam: bd.target_gap(bd.GapKind.CHORD, f, interval, lam=lam),
-        )
-    for lam_value in _LAMBDA_GRID:
-        lam = Lambda(lam_value)
-        battery.containment(
-            "symmetric_pair_gap_bounds",
-            lambda lam=lam: bd.symmetric_pair_gap_bounds(c, interval, lam),
-            lambda lam=lam: bd.target_gap(bd.GapKind.SYMMETRIC_PAIR, f, interval, lam=lam),
-        )
-    battery.containment(
-        "fejer_trapezoid_gap_bounds",
-        lambda: bd.fejer_trapezoid_gap_bounds(f, g_sym, c, interval, tol),
-        lambda: bd.target_gap(bd.GapKind.WEIGHTED_TRAPEZOID, f, interval, g=g_sym, tol=tol),
-    )
-    battery.containment(
-        "fejer_midpoint_gap_bounds",
-        lambda: bd.fejer_midpoint_gap_bounds(f, g_sym, c, interval, tol),
-        lambda: bd.target_gap(bd.GapKind.WEIGHTED_MIDPOINT, f, interval, g=g_sym, tol=tol),
-    )
+    a, b = interval.a, interval.b
+    p, q = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+    radius = (b - a) * min(p, q) / (p + q)
+    y = radius * rng.uniform(0.1, 1.0)
+    center = (p * a + q * b) / (p + q)
+    g_win = random_symmetric_weight(_mix(master_seed, index, 5), Interval(center - y, center + y))
+
+    # every registry rule; λ rules over the grid, the window rule with
+    # its own weight drawn on the window
+    problem = bd.Problem(f, interval, tol, c, g_sym, None, NodeWeights(p, q), y)
+    for spec in bd.RULES.values():
+        if spec.lam:
+            variants = [replace(problem, lam=Lambda(v)) for v in _LAMBDA_GRID]
+        elif spec.window:
+            variants = [replace(problem, weight=g_win)]
+        else:
+            variants = [problem]
+        for variant in variants:
+            battery.containment(spec.label, spec.enclose, spec.target, variant)
 
     chains = _once(lambda: bd.complement_weight_chains(f, g_sym, c, interval, tol))
     battery.ordering("complement_weight_chains_lower", lambda: list(chains()[0]))
     battery.ordering("complement_weight_chains_upper", lambda: list(chains()[1]))
 
-    bis_targets = _once(lambda: bd.target_bisection(f, interval, tol))
-    battery.containment(
-        "bisection_bounds_mean",
-        lambda: bd.bisection_bounds(f, c, interval, tol)[0],
-        lambda: bis_targets()[0],
-    )
-    battery.containment(
-        "bisection_bounds_quarter",
-        lambda: bd.bisection_bounds(f, c, interval, tol)[1],
-        lambda: bis_targets()[1],
-    )
-
-    a, b = interval.a, interval.b
     # last point pinned to b: a + n*((b-a)/n) can overshoot b by one ulp
     x_grid = [a + k * (b - a) / _H_GRID_STEPS for k in range(1, _H_GRID_STEPS)] + [b]
     f_mono = slope_normalized(f, interval)
@@ -461,19 +423,6 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
     refined = _once(lambda: bd.refined_gap_chains(f, c, interval, x_mid, tol))
     battery.ordering("refined_gap_chains_lower", lambda: [*refined()[0], 0.0])
     battery.ordering("refined_gap_chains_upper", lambda: [*refined()[1], 0.0])
-
-    p, q = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
-    weights = NodeWeights(p, q)
-    radius = (b - a) * min(p, q) / (p + q)
-    y = radius * rng.uniform(0.1, 1.0)
-    center = (p * a + q * b) / (p + q)
-    window = Interval(center - y, center + y)
-    g_win = random_symmetric_weight(_mix(master_seed, index, 5), window)
-    battery.containment(
-        "vasic_lackovic",
-        lambda: bd.vasic_lackovic(f, g_win, weights, interval, y, tol),
-        lambda: bd.target_vasic_lackovic(f, g_win, weights, interval, y, tol),
-    )
 
     # means: random positive pair, log-uniform in [0.1, 10]
     ma = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
@@ -509,14 +458,10 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
     )
     lam_y = rng.random()
     battery.containment(
-        "young_ratio_bounds",
-        lambda: mn.young_ratio_bounds(ma, mb, lam_y),
-        lambda: mn.young_ratio_target(ma, mb, lam_y),
+        "young_ratio_bounds", mn.young_ratio_bounds, mn.young_ratio_target, ma, mb, lam_y
     )
     battery.containment(
-        "young_difference_bounds",
-        lambda: mn.young_difference_bounds(ma, mb, lam_y),
-        lambda: mn.young_difference_target(ma, mb, lam_y),
+        "young_difference_bounds", mn.young_difference_bounds, mn.young_difference_target, ma, mb, lam_y
     )
 
 

@@ -15,7 +15,6 @@ import time
 import pytest
 
 from convexcert.bounds import (
-    GapKind,
     bisection_bounds,
     chord_gap_bounds,
     fejer_midpoint_gap_bounds,
@@ -38,6 +37,7 @@ from convexcert.core import (
     Interval,
     Lambda,
     NodeWeights,
+    Rule,
     enclosure_contains,
 )
 from convexcert.expr import evaluation_spec, function_spec, parse, to_text
@@ -77,19 +77,19 @@ def test_quadratic_gaps_are_tight():
     start = time.perf_counter()
     cases = [
         ("midpoint", hh_midpoint_gap_bounds(SQ_BAND, UNIT),
-         target_gap(GapKind.MIDPOINT, SQ, UNIT).value, 1.0 / 12.0),
+         target_gap(Rule.MIDPOINT_GAP, SQ, UNIT).value, 1.0 / 12.0),
         ("trapezoid", hh_trapezoid_gap_bounds(SQ_BAND, UNIT),
-         target_gap(GapKind.TRAPEZOID, SQ, UNIT).value, 1.0 / 6.0),
+         target_gap(Rule.TRAPEZOID_GAP, SQ, UNIT).value, 1.0 / 6.0),
         ("chord@1/2", chord_gap_bounds(SQ_BAND, UNIT, Lambda(0.5)),
-         target_gap(GapKind.CHORD, SQ, UNIT, lam=Lambda(0.5)).value, 0.25),
+         target_gap(Rule.CHORD_GAP, SQ, UNIT, lam=Lambda(0.5)).value, 0.25),
         ("pair@0", symmetric_pair_gap_bounds(SQ_BAND, UNIT, Lambda(0.0)),
-         target_gap(GapKind.SYMMETRIC_PAIR, SQ, UNIT, lam=Lambda(0.0)).value, 0.25),
+         target_gap(Rule.SYMMETRIC_PAIR_GAP, SQ, UNIT, lam=Lambda(0.0)).value, 0.25),
         ("weighted-trapezoid", fejer_trapezoid_gap_bounds(SQ, ONE, SQ_BAND, UNIT),
-         target_gap(GapKind.WEIGHTED_TRAPEZOID, SQ, UNIT, g=ONE).value, 1.0 / 6.0),
+         target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, SQ, UNIT, g=ONE).value, 1.0 / 6.0),
         ("weighted-midpoint", fejer_midpoint_gap_bounds(SQ, ONE, SQ_BAND, UNIT),
-         target_gap(GapKind.WEIGHTED_MIDPOINT, SQ, UNIT, g=ONE).value, 1.0 / 12.0),
+         target_gap(Rule.WEIGHTED_MIDPOINT_GAP, SQ, UNIT, g=ONE).value, 1.0 / 12.0),
     ]
-    e1, e2 = bisection_bounds(SQ, SQ_BAND, UNIT)
+    e1, e2 = bisection_bounds(SQ_BAND, UNIT)
     t1, t2 = target_bisection(SQ, UNIT)
     cases.append(("bisection-mean", e1, t1.value, 1.0 / 24.0))
     cases.append(("bisection-quarter", e2, t2.value, 1.0 / 48.0))
@@ -113,13 +113,13 @@ def test_exponential_golden_values():
 
     cases = [
         (hh_midpoint_gap_bounds(EXP_BAND, UNIT),
-         target_gap(GapKind.MIDPOINT, EXP, UNIT, tol=1e-10),
+         target_gap(Rule.MIDPOINT_GAP, EXP, UNIT, tol=1e-10),
          mid_gap, (1.0 / 24.0, E / 24.0)),
         (hh_trapezoid_gap_bounds(EXP_BAND, UNIT),
-         target_gap(GapKind.TRAPEZOID, EXP, UNIT, tol=1e-10),
+         target_gap(Rule.TRAPEZOID_GAP, EXP, UNIT, tol=1e-10),
          trap_gap, (1.0 / 12.0, E / 12.0)),
         (chord_gap_bounds(EXP_BAND, UNIT, Lambda(0.5)),
-         target_gap(GapKind.CHORD, EXP, UNIT, lam=Lambda(0.5), tol=1e-10),
+         target_gap(Rule.CHORD_GAP, EXP, UNIT, lam=Lambda(0.5), tol=1e-10),
          chord_gap, (0.125, E / 8.0)),
     ]
     for enc, result, golden, (lo, hi) in cases:

@@ -10,7 +10,6 @@ import math
 import pytest
 
 from convexcert.bounds import (
-    GapKind,
     bisection_bounds,
     chord_gap_bounds,
     complement_weight_chains,
@@ -47,7 +46,7 @@ from convexcert.core import (
     enclosure_contains,
 )
 from convexcert.expr import evaluation_spec, function_spec
-from convexcert.quadrature import classify_weight
+from convexcert.quadrature import classify_weight, integrate
 
 E = math.e
 UNIT = Interval(0.0, 1.0)
@@ -133,7 +132,7 @@ class TestGapEnclosures:
         enc = hh_midpoint_gap_bounds(EXP_BAND, UNIT)
         assert enc.lower == pytest.approx(1.0 / 24.0, abs=1e-15)
         assert enc.upper == pytest.approx(E / 24.0, abs=1e-15)
-        r = target_gap(GapKind.MIDPOINT, EXP, UNIT)
+        r = target_gap(Rule.MIDPOINT_GAP, EXP, UNIT)
         assert r.value == pytest.approx(MID_GAP_EXP, abs=1e-11)
         assert enclosure_contains(enc, r.value, tol=1e-10)
 
@@ -141,7 +140,7 @@ class TestGapEnclosures:
         enc = hh_trapezoid_gap_bounds(EXP_BAND, UNIT)
         assert enc.lower == pytest.approx(1.0 / 12.0, abs=1e-15)
         assert enc.upper == pytest.approx(E / 12.0, abs=1e-15)
-        r = target_gap(GapKind.TRAPEZOID, EXP, UNIT)
+        r = target_gap(Rule.TRAPEZOID_GAP, EXP, UNIT)
         assert r.value == pytest.approx(TRAP_GAP_EXP, abs=1e-11)
         assert enclosure_contains(enc, r.value, tol=1e-10)
 
@@ -149,7 +148,7 @@ class TestGapEnclosures:
         enc = chord_gap_bounds(EXP_BAND, UNIT, Lambda(0.5))
         assert enc.lower == pytest.approx(0.125, abs=1e-15)
         assert enc.upper == pytest.approx(E / 8.0, abs=1e-15)
-        r = target_gap(GapKind.CHORD, EXP, UNIT, lam=Lambda(0.5))
+        r = target_gap(Rule.CHORD_GAP, EXP, UNIT, lam=Lambda(0.5))
         assert r.value == pytest.approx(AVG_EXP - math.sqrt(E), rel=1e-14)
         assert (r.error_estimate, r.evaluations, r.converged) == (0.0, 3, True)
         assert enclosure_contains(enc, r.value)
@@ -158,7 +157,7 @@ class TestGapEnclosures:
     def test_chord_gap_degenerate_lambda(self, lam):
         enc = chord_gap_bounds(EXP_BAND, UNIT, Lambda(lam))
         assert (enc.lower, enc.upper) == (0.0, 0.0)
-        assert target_gap(GapKind.CHORD, EXP, UNIT, lam=Lambda(lam)).value == pytest.approx(
+        assert target_gap(Rule.CHORD_GAP, EXP, UNIT, lam=Lambda(lam)).value == pytest.approx(
             0.0, abs=1e-15
         )
 
@@ -166,7 +165,7 @@ class TestGapEnclosures:
         enc = symmetric_pair_gap_bounds(EXP_BAND, UNIT, Lambda(0.0))
         assert enc.lower == pytest.approx(0.125, abs=1e-15)
         assert enc.upper == pytest.approx(E / 8.0, abs=1e-15)
-        r = target_gap(GapKind.SYMMETRIC_PAIR, EXP, UNIT, lam=Lambda(0.0))
+        r = target_gap(Rule.SYMMETRIC_PAIR_GAP, EXP, UNIT, lam=Lambda(0.0))
         assert r.value == pytest.approx(AVG_EXP - math.sqrt(E), rel=1e-14)
         assert enclosure_contains(enc, r.value)
 
@@ -176,11 +175,11 @@ class TestGapEnclosures:
 
     def test_chord_needs_lambda(self):
         with pytest.raises(ParameterOutOfRange):
-            target_gap(GapKind.CHORD, EXP, UNIT)
+            target_gap(Rule.CHORD_GAP, EXP, UNIT)
 
     def test_weighted_kind_needs_weight(self):
         with pytest.raises(ParameterOutOfRange):
-            target_gap(GapKind.WEIGHTED_TRAPEZOID, EXP, UNIT)
+            target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, EXP, UNIT)
 
 
 class TestWeightedGaps:
@@ -190,7 +189,7 @@ class TestWeightedGaps:
         # ∫ (t-a)(b-t) g = ∫ t²(1-t)² = 1/30
         assert enc.lower == pytest.approx(1.0 / 60.0, abs=1e-12)
         assert enc.upper == pytest.approx(E / 60.0, abs=1e-12)
-        r = target_gap(GapKind.WEIGHTED_TRAPEZOID, EXP, UNIT, g=g)
+        r = target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, EXP, UNIT, g=g)
         assert r.value == pytest.approx(AVG_EXP * G_PAR - FG_PAR, abs=1e-11)
         assert enclosure_contains(enc, r.value, tol=1e-10)
 
@@ -200,7 +199,7 @@ class TestWeightedGaps:
         # ∫ (2t-1)² t(1-t) dt = 1/30
         assert enc.lower == pytest.approx(1.0 / 240.0, abs=1e-12)
         assert enc.upper == pytest.approx(E / 240.0, abs=1e-12)
-        r = target_gap(GapKind.WEIGHTED_MIDPOINT, EXP, UNIT, g=g)
+        r = target_gap(Rule.WEIGHTED_MIDPOINT_GAP, EXP, UNIT, g=g)
         assert r.value == pytest.approx(FG_PAR - math.sqrt(E) * G_PAR, abs=1e-11)
         assert enclosure_contains(enc, r.value, tol=1e-10)
 
@@ -246,7 +245,7 @@ class TestComplementChains:
 
 class TestBisection:
     def test_exp_frozen_targets(self):
-        e1, e2 = bisection_bounds(EXP, EXP_BAND, UNIT)
+        e1, e2 = bisection_bounds(EXP_BAND, UNIT)
         assert e1.lower == pytest.approx(1.0 / 48.0, abs=1e-15)
         assert e1.upper == pytest.approx(E / 48.0, abs=1e-15)
         assert e2.lower == pytest.approx(1.0 / 96.0, abs=1e-15)
@@ -264,14 +263,14 @@ class TestBisection:
         assert t2.value > EXP_BAND.m / 96.0 + 1e-3
 
     def test_square_is_tight(self):
-        e1, e2 = bisection_bounds(SQ, SQ_BAND, UNIT)
+        e1, e2 = bisection_bounds(SQ_BAND, UNIT)
         t1, t2 = target_bisection(SQ, UNIT)
         assert t1.value == pytest.approx(e1.lower, abs=1e-13)
         assert t2.value == pytest.approx(e2.lower, abs=1e-13)
         assert e1.width == pytest.approx(0.0, abs=1e-15)
 
     def test_rules_tagged(self):
-        e1, e2 = bisection_bounds(SQ, SQ_BAND, UNIT)
+        e1, e2 = bisection_bounds(SQ_BAND, UNIT)
         assert e1.source_rule is Rule.BISECTION_MEAN
         assert e2.source_rule is Rule.BISECTION_QUARTER
 
@@ -410,6 +409,30 @@ class TestTargets:
         r = target_integral_mean(SQ, Interval(0.0, 2.0))
         assert r.value == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert r.converged
+
+    def test_error_estimates_carry_the_integral_coefficients(self):
+        # each gap scales ∫f by 1/width, or ∫g by a value of f, and
+        # scales that integral's error estimate the same way
+        iv = Interval(0.0, 4.0)
+        err_f = integrate(EXP, iv).error_estimate
+        assert err_f > 0.0
+        assert target_gap(Rule.MIDPOINT_GAP, EXP, iv).error_estimate == err_f / 4.0
+        assert target_gap(Rule.TRAPEZOID_GAP, EXP, iv).error_estimate == err_f / 4.0
+        assert [t.error_estimate for t in target_bisection(EXP, iv)] == [err_f / 4.0] * 2
+        g = evaluation_spec("exp(0 - (x - 2)^2)")
+        err_g = integrate(g, iv).error_estimate
+        err_fg = integrate(lambda t: EXP(t) * g(t), iv).error_estimate
+        assert err_g > 0.0
+        trap = target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, EXP, iv, g=g)
+        mid = target_gap(Rule.WEIGHTED_MIDPOINT_GAP, EXP, iv, g=g)
+        assert trap.error_estimate == pytest.approx(
+            0.5 * (1.0 + math.exp(4.0)) * err_g + err_fg, rel=1e-12
+        )
+        assert mid.error_estimate == pytest.approx(math.exp(2.0) * err_g + err_fg, rel=1e-12)
+
+    def test_gap_target_rejects_non_gap_rule(self):
+        with pytest.raises(ParameterOutOfRange):
+            target_gap(Rule.HERMITE_HADAMARD, EXP, UNIT)
 
     def test_weight_spec_and_function_spec_agree(self):
         g_fn = evaluation_spec(PARABOLA_W)

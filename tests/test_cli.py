@@ -5,12 +5,18 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from convexcert.cli import main
 
 E = math.e
+# `bounds --json` outputs frozen before the rule registry replaced the
+# per-rule wiring of the CLI
+GOLDEN = json.loads((Path(__file__).parent / "golden_bounds.json").read_text())
+GOLDEN_IDS = ["all-weight-window-swapped", "all-user-band", "all-heuristic-band",
+              "fejer-default-weight", "chord-lambda"]
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +193,30 @@ class TestBounds:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+def assert_matches_golden(actual, expected, path="$"):
+    """Same structure and key order; floats to 1e-12 relative, the rest exact."""
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), path
+        for key, value in expected.items():
+            assert_matches_golden(actual[key], value, f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for i, (got, value) in enumerate(zip(actual, expected)):
+            assert_matches_golden(got, value, f"{path}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(actual, float), path
+        assert math.isclose(actual, expected, rel_tol=1e-12), path
+    else:
+        assert actual == expected, path
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)
+def test_bounds_json_golden(capsys, case):
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], "")
+    assert_matches_golden(json.loads(out), case["certificates"])
 
 
 class TestYoung:
