@@ -34,14 +34,12 @@ from typing import Callable, Union
 
 from .core import (
     AdmissibilityViolated,
-    ConvexityViolated,
     CurvatureBounds,
     Enclosure,
     Interval,
     Lambda,
     MonotonicityViolated,
     NodeWeights,
-    NonSmoothExpression,
     OracleInconclusive,
     ParameterOutOfRange,
     QuadResult,
@@ -52,11 +50,12 @@ from .core import (
 )
 from .expr import FunctionSpec
 from .quadrature import (
-    _monotone_profile,
     classify_weight,
     integrate,
     moment_ab,
     moment_center,
+    monotone_profile,
+    require_convex,
 )
 
 __all__ = [
@@ -85,9 +84,6 @@ __all__ = [
     "target_bisection",
     "target_vasic_lackovic",
 ]
-
-_CONVEXITY_SLACK = 1e-9
-_CONVEXITY_POINTS = 101
 
 WeightLike = Union[WeightSpec, FunctionSpec]
 
@@ -126,21 +122,8 @@ def _band(
     return _enclosure(c.m * scale / divisor, c.M * scale / divisor, description, rule)
 
 
-def _require_convex(f: FunctionSpec, interval: Interval) -> None:
-    """Sampled convexity guard: f'' >= -1e-9 at 101 uniform points."""
-    if f.d2 is None:
-        raise NonSmoothExpression(f"convexity check needs a second derivative for {f.text!r}")
-    a, b = interval.a, interval.b
-    if a == b:
-        if f.second_derivative(a) < -_CONVEXITY_SLACK:
-            raise ConvexityViolated(f"f'' < 0 at {a} for f = {f.text}")
-        return
-    step = (b - a) / (_CONVEXITY_POINTS - 1)
-    for k in range(_CONVEXITY_POINTS):
-        x = a + k * step
-        v = f.second_derivative(x)
-        if v < -_CONVEXITY_SLACK:
-            raise ConvexityViolated(f"f'' = {v} at x = {x} for f = {f.text}")
+def _weight_function(g: WeightLike) -> FunctionSpec:
+    return g.function if isinstance(g, WeightSpec) else g
 
 
 def _as_weight(g: WeightLike, interval: Interval) -> WeightSpec:
@@ -148,15 +131,16 @@ def _as_weight(g: WeightLike, interval: Interval) -> WeightSpec:
     if isinstance(g, WeightSpec):
         if abs(g.center - interval.midpoint) <= 1e-12 * max(1.0, abs(g.center)):
             return g
-        g = g.function
-    return classify_weight(g, interval)
+    return classify_weight(_weight_function(g), interval)
 
 
-def _require_symmetric(ws: WeightSpec) -> None:
+def _symmetric_weight(g: WeightLike, interval: Interval) -> WeightSpec:
+    ws = _as_weight(g, interval)
     if not ws.symmetric:
         raise SymmetryViolated(
             f"weight {ws.function.text!r} is not symmetric about {ws.center}"
         )
+    return ws
 
 
 def _oracle(result: QuadResult, what: str) -> float:
@@ -185,7 +169,7 @@ def hermite_hadamard(f: FunctionSpec, interval: Interval) -> Enclosure:
     """
     if interval.is_degenerate():
         raise ParameterOutOfRange("integral mean needs a non-degenerate interval")
-    _require_convex(f, interval)
+    require_convex(f, interval)
     lo = f(interval.midpoint)
     hi = 0.5 * (f(interval.a) + f(interval.b))
     return _enclosure(
@@ -204,9 +188,8 @@ def fejer(
     """
     if interval.is_degenerate():
         raise ParameterOutOfRange("weighted sandwich needs a non-degenerate interval")
-    ws = _as_weight(g, interval)
-    _require_symmetric(ws)
-    _require_convex(f, interval)
+    ws = _symmetric_weight(g, interval)
+    require_convex(f, interval)
     G = _integral(ws.function, interval, tol, "integral of the weight")
     G = max(G, 0.0)
     lo = f(interval.midpoint) * G
@@ -269,8 +252,7 @@ def fejer_trapezoid_gap_bounds(
     """Enclosure (m/2, M/2) · ∫(t-a)(b-t)g  for the weighted trapezoid
     gap (f(a)+f(b))/2 ∫g - ∫fg.  The moment is an oracle value; it is
     clamped at zero (it is nonnegative for a nonnegative weight)."""
-    ws = _as_weight(g, interval)
-    _require_symmetric(ws)
+    ws = _symmetric_weight(g, interval)
     mab = max(_oracle(moment_ab(ws.function, interval, tol), "endpoint moment"), 0.0)
     return _band(
         c,
@@ -289,8 +271,7 @@ def fejer_midpoint_gap_bounds(
 ) -> Enclosure:
     """Enclosure (m/8, M/8) · ∫(2t-a-b)²g  for the weighted midpoint
     gap ∫fg - f((a+b)/2) ∫g."""
-    ws = _as_weight(g, interval)
-    _require_symmetric(ws)
+    ws = _symmetric_weight(g, interval)
     mc = max(_oracle(moment_center(ws.function, interval, tol), "central moment"), 0.0)
     return _band(
         c,
@@ -328,8 +309,7 @@ def complement_weight_chains(
     Note the middle terms are the slack of the weighted gap bounds for
     g itself — with g ≡ 1 they *equal* the left terms.
     """
-    ws = _as_weight(g, interval)
-    _require_symmetric(ws)
+    ws = _symmetric_weight(g, interval)
     if not ws.range01:
         raise RangeViolated(
             f"complement chains need a weight in [0, 1]; {ws.function.text!r} is not"
@@ -392,6 +372,32 @@ def _check_x(interval: Interval, x: float) -> None:
         )
 
 
+def _endpoint_functional(
+    name: str, f: FunctionSpec, g: WeightLike, interval: Interval, x: float, tol: float
+) -> float:
+    """h1 or h2, after checking x, the weight's direction and convexity."""
+    _check_x(interval, x)
+    ws = _as_weight(g, interval)
+    rises, falls = monotone_profile(ws.function, interval)
+    if name == "h1" and rises:
+        raise MonotonicityViolated(
+            f"h1 needs a nonincreasing weight; {ws.function.text!r} rises"
+        )
+    if name == "h2" and falls:
+        raise MonotonicityViolated(
+            f"h2 needs a nondecreasing weight; {ws.function.text!r} falls"
+        )
+    require_convex(f, interval)
+    if x == interval.a:
+        return 0.0
+    sub = Interval(interval.a, x)
+    G = _integral(ws.function, sub, tol, "integral of the weight")
+    FG = _integral(lambda t: f(t) * ws.function(t), sub, tol, "integral of f*g")
+    if name == "h1":
+        return 0.5 * (f(interval.a) + f(x)) * G - FG
+    return FG - f(0.5 * (interval.a + x)) * G
+
+
 def h1_functional(
     f: FunctionSpec, g: WeightLike, interval: Interval, x: float, tol: float = 1e-10
 ) -> float:
@@ -406,20 +412,7 @@ def h1_functional(
     caller's to invoke only on the valid domain.  Flat weights are
     accepted (weakly monotone).
     """
-    _check_x(interval, x)
-    ws = _as_weight(g, interval)
-    rises, _ = _monotone_profile(ws.function, interval)
-    if rises:
-        raise MonotonicityViolated(
-            f"h1 needs a nonincreasing weight; {ws.function.text!r} rises"
-        )
-    _require_convex(f, interval)
-    if x == interval.a:
-        return 0.0
-    sub = Interval(interval.a, x)
-    G = _integral(ws.function, sub, tol, "integral of the weight")
-    FG = _integral(lambda t: f(t) * ws.function(t), sub, tol, "integral of f*g")
-    return 0.5 * (f(interval.a) + f(x)) * G - FG
+    return _endpoint_functional("h1", f, g, interval, x, tol)
 
 
 def h2_functional(
@@ -434,20 +427,7 @@ def h2_functional(
     the monotonicity guarantee applies only to nondecreasing f; the
     value itself is computed for any convex f.
     """
-    _check_x(interval, x)
-    ws = _as_weight(g, interval)
-    _, falls = _monotone_profile(ws.function, interval)
-    if falls:
-        raise MonotonicityViolated(
-            f"h2 needs a nondecreasing weight; {ws.function.text!r} falls"
-        )
-    _require_convex(f, interval)
-    if x == interval.a:
-        return 0.0
-    sub = Interval(interval.a, x)
-    G = _integral(ws.function, sub, tol, "integral of the weight")
-    FG = _integral(lambda t: f(t) * ws.function(t), sub, tol, "integral of f*g")
-    return FG - f(0.5 * (interval.a + x)) * G
+    return _endpoint_functional("h2", f, g, interval, x, tol)
 
 
 # --------------------------------------------------------------------------
@@ -478,7 +458,7 @@ def hh_gap_monotone(
     _check_x(interval, x)
     if interval.is_degenerate():
         raise ParameterOutOfRange("gap monotonicity needs a non-degenerate interval")
-    _require_convex(f, interval)
+    require_convex(f, interval)
     rho = (x - interval.a) / interval.width
     if x == interval.a:
         sub_trap = sub_mid = 0.0
@@ -516,7 +496,7 @@ def refined_gap_chains(
     _check_x(interval, x)
     if interval.is_degenerate():
         raise ParameterOutOfRange("refined chains need a non-degenerate interval")
-    _require_convex(f, interval)
+    require_convex(f, interval)
     w = interval.width
     wx = x - interval.a
     rho = wx / w
@@ -565,9 +545,8 @@ def vasic_lackovic(
         )
     center = (p * a + q * b) / (p + q)
     window = Interval(center - y, center + y)
-    _require_convex(f, interval)
-    ws = _as_weight(g, window)
-    _require_symmetric(ws)
+    require_convex(f, interval)
+    ws = _symmetric_weight(g, window)
     G = max(_integral(ws.function, window, tol, "integral of the weight"), 0.0)
     lo = f(center) * G
     hi = (p * f(a) + q * f(b)) / (p + q) * G
@@ -584,15 +563,21 @@ def vasic_lackovic(
 # --------------------------------------------------------------------------
 
 
-def target_integral_mean(f, interval: Interval, tol: float = 1e-10) -> QuadResult:
-    """Oracle for the integral mean of f (the Hermite–Hadamard target)."""
+def _integral_mean(f, interval: Interval, tol: float, what: str) -> QuadResult:
+    if interval.is_degenerate():
+        raise ParameterOutOfRange(f"{what} needs a non-degenerate interval")
     r = integrate(f, interval, tol)
     return QuadResult(r.value / interval.width, r.error_estimate / interval.width, r.evaluations, r.converged)
 
 
+def target_integral_mean(f, interval: Interval, tol: float = 1e-10) -> QuadResult:
+    """Oracle for the integral mean of f (the Hermite–Hadamard target)."""
+    return _integral_mean(f, interval, tol, "integral mean")
+
+
 def target_fejer(f, g: WeightLike, interval: Interval, tol: float = 1e-10) -> QuadResult:
     """Oracle for ∫ f g over the interval."""
-    gfn = g.function if isinstance(g, WeightSpec) else g
+    gfn = _weight_function(g)
     return integrate(lambda t: f(t) * gfn(t), interval, tol)
 
 
@@ -628,18 +613,17 @@ def target_gap(
         val = 0.5 * (f(u) + f(v)) - f(0.5 * (a + b))
         return QuadResult(val, 0.0, 3, True)
     if rule is Rule.MIDPOINT_GAP or rule is Rule.TRAPEZOID_GAP:
-        r = integrate(f, interval, tol)
-        mean = r.value / interval.width
+        r = _integral_mean(f, interval, tol, rule.value)
         if rule is Rule.MIDPOINT_GAP:
-            val = mean - f(interval.midpoint)
+            val = r.value - f(interval.midpoint)
         else:
-            val = 0.5 * (f(a) + f(b)) - mean
-        return QuadResult(val, r.error_estimate / interval.width, r.evaluations, r.converged)
+            val = 0.5 * (f(a) + f(b)) - r.value
+        return QuadResult(val, r.error_estimate, r.evaluations, r.converged)
     if rule not in (Rule.WEIGHTED_TRAPEZOID_GAP, Rule.WEIGHTED_MIDPOINT_GAP):
         raise ParameterOutOfRange(f"{rule.value} is not a gap rule")
     if g is None:
         raise ParameterOutOfRange(f"{rule.value} needs a weight")
-    gfn = g.function if isinstance(g, WeightSpec) else g
+    gfn = _weight_function(g)
     rg = integrate(gfn, interval, tol)
     rfg = integrate(lambda t: f(t) * gfn(t), interval, tol)
     if rule is Rule.WEIGHTED_TRAPEZOID_GAP:
@@ -655,14 +639,12 @@ def target_gap(
 def target_bisection(f, interval: Interval, tol: float = 1e-10) -> tuple[QuadResult, QuadResult]:
     """Oracle values of the two bisection gap targets (one integral of f)."""
     a, b = interval.a, interval.b
-    r = integrate(f, interval, tol)
-    mean = r.value / interval.width
-    err = r.error_estimate / interval.width
-    t1 = 0.5 * (0.5 * (f(a) + f(b)) + f(interval.midpoint)) - mean
-    t2 = mean - 0.5 * (f(0.25 * (3.0 * a + b)) + f(0.25 * (a + 3.0 * b)))
+    r = _integral_mean(f, interval, tol, "bisection target")
+    t1 = 0.5 * (0.5 * (f(a) + f(b)) + f(interval.midpoint)) - r.value
+    t2 = r.value - 0.5 * (f(0.25 * (3.0 * a + b)) + f(0.25 * (a + 3.0 * b)))
     return (
-        QuadResult(t1, err, r.evaluations, r.converged),
-        QuadResult(t2, err, r.evaluations, r.converged),
+        QuadResult(t1, r.error_estimate, r.evaluations, r.converged),
+        QuadResult(t2, r.error_estimate, r.evaluations, r.converged),
     )
 
 
@@ -673,7 +655,7 @@ def target_vasic_lackovic(
     p, q = weights.p, weights.q
     center = (p * interval.a + q * interval.b) / (p + q)
     window = Interval(center - y, center + y)
-    gfn = g.function if isinstance(g, WeightSpec) else g
+    gfn = _weight_function(g)
     return integrate(lambda t: f(t) * gfn(t), window, tol)
 
 

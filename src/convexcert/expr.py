@@ -33,7 +33,6 @@ from .core import (
     Interval,
     NonConstantExponent,
     NonSmoothExpression,
-    ParameterOutOfRange,
     ParseError,
     Provenance,
 )
@@ -602,6 +601,7 @@ def evaluation_spec(source: str | Node, domain_note: str = "") -> FunctionSpec:
 # --------------------------------------------------------------------------
 
 _WIDEN = 1e-9
+_NODES = 33  # Chebyshev nodes of the heuristic band
 
 
 def _is_affine(node: Node) -> bool:
@@ -688,20 +688,18 @@ def _chebyshev_grid(interval: Interval, samples: int) -> list[float]:
     return [a, *nodes, b]
 
 
-def curvature_range(f: FunctionSpec, interval: Interval, samples: int = 33) -> CurvatureBounds:
+def curvature_range(f: FunctionSpec, interval: Interval) -> CurvatureBounds:
     """Estimate a band m <= f'' <= M on the interval.
 
     When f'' has a recognised endpoint-monotone shape the band is the
     pair of endpoint values and is tagged ``EXACT``.  Otherwise the
-    band is the min/max of f'' over a Chebyshev grid (plus endpoints),
+    band is the min/max of f'' over 33 Chebyshev nodes plus the endpoints,
     widened by ``1e-9 * (1 + |value|)`` on each side, and tagged
     ``SAMPLED_HEURISTIC`` — a usable default, not a certificate.
     """
     if f.d2 is None:
         raise NonSmoothExpression(f"curvature_range needs a second derivative for {f.text!r}")
-    if samples < 2:
-        raise ParameterOutOfRange(f"samples must be >= 2, got {samples}")
-    values = [f.second_derivative(x) for x in _chebyshev_grid(interval, samples)]
+    values = [f.second_derivative(x) for x in _chebyshev_grid(interval, _NODES)]
     lo, hi = min(values), max(values)
     if _endpoint_monotone(f.d2, interval):
         ea, eb = f.second_derivative(interval.a), f.second_derivative(interval.b)

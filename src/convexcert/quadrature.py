@@ -1,4 +1,4 @@
-"""Numerical oracle: adaptive Simpson quadrature and weight checks.
+"""Numerical oracle (adaptive Simpson quadrature) and sampled hypothesis checks.
 
 The integrator is the package's only source of "true" integral values.
 It subdivides until the Richardson error estimate on each subinterval
@@ -8,17 +8,23 @@ interval.  Hitting the depth cap never raises — it returns the best
 estimate with ``converged=False`` and lets callers decide (the
 falsification harness, for instance, records such checks as
 inconclusive rather than failed).
+
+Every hypothesis check — f'' >= 0, and a weight's sign, ``[0, 1]``
+range, symmetry and monotonicity — is sampled, not certified: it reads
+one grid of 101 uniform points with a slack of 1e-9, and steps within
+1e-12 count as ties in the monotonicity scan.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from .core import (
+    ConvexityViolated,
     Interval,
     Monotonicity,
     NegativeWeight,
+    NonSmoothExpression,
     ParameterOutOfRange,
     QuadResult,
     WeightSpec,
@@ -31,17 +37,20 @@ __all__ = [
     "moment_center",
     "check_symmetry",
     "check_monotone",
+    "monotone_profile",
     "classify_weight",
+    "require_convex",
     "MAX_DEPTH",
 ]
 
 MAX_DEPTH = 50
 
+# grid size and slack of every sampled check
+_SAMPLES = 101
+_SLACK = 1e-9
+
 # tolerance for "equal" consecutive samples in the monotonicity scan
 _TIE_TOL = 1e-12
-
-# slack for sampled nonnegativity of weights
-_WEIGHT_SLACK = 1e-9
 
 
 def integrate(
@@ -65,7 +74,7 @@ def integrate(
         number of function evaluations, and a convergence flag which is
         False iff some subinterval hit the depth cap.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterOutOfRange(f"tolerance must be > 0, got {tol}")
     if not 0 <= min_depth <= max_depth:
         raise ParameterOutOfRange(
@@ -144,36 +153,22 @@ def moment_center(
     return integrate(lambda t: (2.0 * t - a - b) ** 2 * g(t), interval, tol)
 
 
-def _uniform(interval: Interval, points: int) -> list[float]:
-    if points < 2:
-        raise ParameterOutOfRange(f"points must be >= 2, got {points}")
+def _grid(interval: Interval) -> list[float]:
     a, b = interval.a, interval.b
-    step = (b - a) / (points - 1)
-    return [a + k * step for k in range(points)]
+    step = (b - a) / (_SAMPLES - 1)
+    return [a + k * step for k in range(_SAMPLES)]
 
 
-def check_symmetry(
-    g: Callable[[float], float],
-    interval: Interval,
-    points: int = 101,
-    tol: float = 1e-9,
-) -> bool:
-    """Sampled check that g is symmetric about the interval midpoint:
-    ``|g(x) - g(a + b - x)| <= tol * (1 + |g(x)|)`` at uniform samples."""
+def _mirrors_match(g, interval: Interval, values: Iterable[float]) -> bool:
+    """Whether g(a + b - x) matches each grid value g(x), up to the first miss."""
     a, b = interval.a, interval.b
-    for x in _uniform(interval, points):
-        gx = g(x)
-        if abs(gx - g(a + b - x)) > tol * (1.0 + abs(gx)):
+    for x, gx in zip(_grid(interval), values):
+        if abs(gx - g(a + b - x)) > _SLACK * (1.0 + abs(gx)):
             return False
     return True
 
 
-def _monotone_profile(
-    g: Callable[[float], float], interval: Interval, points: int = 101
-) -> tuple[bool, bool]:
-    """Scan consecutive differences; returns (any rise, any fall)
-    beyond the tie tolerance."""
-    values = [g(x) for x in _uniform(interval, points)]
+def _steps(values: list[float]) -> tuple[bool, bool]:
     rises = falls = False
     for prev, cur in zip(values, values[1:]):
         d = cur - prev
@@ -184,16 +179,7 @@ def _monotone_profile(
     return rises, falls
 
 
-def check_monotone(
-    g: Callable[[float], float], interval: Interval, points: int = 101
-) -> Monotonicity:
-    """Classify sampled monotonicity with a 1e-12 tie tolerance.
-
-    A weight that is flat everywhere is weakly monotone in both
-    directions; it classifies as DECREASING here, and the operations
-    that require one direction accept flat weights either way.
-    """
-    rises, falls = _monotone_profile(g, interval, points)
+def _monotonicity(rises: bool, falls: bool) -> Monotonicity:
     if rises and falls:
         return Monotonicity.NEITHER
     if rises:
@@ -201,22 +187,55 @@ def check_monotone(
     return Monotonicity.DECREASING
 
 
-def classify_weight(
-    g: FunctionSpec, interval: Interval, points: int = 101
-) -> WeightSpec:
-    """Sample a weight and record its verified structural flags.
+def check_symmetry(g: Callable[[float], float], interval: Interval) -> bool:
+    """Sampled check that g is symmetric about the interval midpoint:
+    ``|g(x) - g(a + b - x)| <= 1e-9 * (1 + |g(x)|)`` on the grid."""
+    return _mirrors_match(g, interval, map(g, _grid(interval)))
+
+
+def monotone_profile(g: Callable[[float], float], interval: Interval) -> tuple[bool, bool]:
+    """(any rise, any fall) of g between consecutive grid points."""
+    return _steps([g(x) for x in _grid(interval)])
+
+
+def check_monotone(g: Callable[[float], float], interval: Interval) -> Monotonicity:
+    """Classify sampled monotonicity with a 1e-12 tie tolerance.
+
+    A weight that is flat everywhere is weakly monotone in both
+    directions; it classifies as DECREASING here, and the operations
+    that require one direction accept flat weights either way.
+    """
+    return _monotonicity(*monotone_profile(g, interval))
+
+
+def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
+    """Sample a weight once on the grid (and at the mirrored points) and record its flags.
 
     Raises:
         NegativeWeight: if any sample is below ``-1e-9``.
     """
-    values = [g(x) for x in _uniform(interval, points)]
+    values = [g(x) for x in _grid(interval)]
     lo, hi = min(values), max(values)
-    if lo < -_WEIGHT_SLACK:
+    if lo < -_SLACK:
         raise NegativeWeight(f"weight {g.text!r} reaches {lo} on the interval")
     return WeightSpec(
         function=g,
         center=interval.midpoint,
-        symmetric=check_symmetry(g, interval, points),
-        monotone=check_monotone(g, interval, points),
-        range01=(hi <= 1.0 + _WEIGHT_SLACK),
+        symmetric=_mirrors_match(g, interval, values),
+        monotone=_monotonicity(*_steps(values)),
+        range01=(hi <= 1.0 + _SLACK),
     )
+
+
+def require_convex(f: FunctionSpec, interval: Interval) -> None:
+    """Sampled convexity guard: f'' >= -1e-9 on the grid, else ``ConvexityViolated``."""
+    if f.d2 is None:
+        raise NonSmoothExpression(f"convexity check needs a second derivative for {f.text!r}")
+    if interval.is_degenerate():
+        if f.second_derivative(interval.a) < -_SLACK:
+            raise ConvexityViolated(f"f'' < 0 at {interval.a} for f = {f.text}")
+        return
+    for x in _grid(interval):
+        v = f.second_derivative(x)
+        if v < -_SLACK:
+            raise ConvexityViolated(f"f'' = {v} at x = {x} for f = {f.text}")

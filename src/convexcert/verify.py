@@ -475,7 +475,7 @@ def falsify(trials: int, seed: int, tol: float = 1e-10) -> TrialReport:
     """
     if trials < 1:
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterOutOfRange(f"tolerance must be > 0, got {tol}")
     battery = _Battery(slack=10.0 * tol)
     for index in range(trials):

@@ -430,6 +430,17 @@ class TestTargets:
         )
         assert mid.error_estimate == pytest.approx(math.exp(2.0) * err_g + err_fg, rel=1e-12)
 
+    def test_width_dividing_targets_reject_a_degenerate_interval(self):
+        point = Interval(1.0, 1.0)
+        for target in (
+            lambda: target_integral_mean(SQ, point),
+            lambda: target_gap(Rule.MIDPOINT_GAP, SQ, point),
+            lambda: target_gap(Rule.TRAPEZOID_GAP, SQ, point),
+            lambda: target_bisection(SQ, point),
+        ):
+            with pytest.raises(ParameterOutOfRange, match="needs a non-degenerate interval"):
+                target()
+
     def test_gap_target_rejects_non_gap_rule(self):
         with pytest.raises(ParameterOutOfRange):
             target_gap(Rule.HERMITE_HADAMARD, EXP, UNIT)

@@ -3,6 +3,7 @@ one subprocess smoke test of the module entry point)."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,15 @@ class TestBounds:
         )
         assert code == 0
         assert json.loads(out)[0]["curvature_provenance"] == "user-supplied"
+
+    @pytest.mark.parametrize("rule", ["midpoint-gap", "trapezoid-gap"])
+    def test_degenerate_interval_gap_exits_1(self, capsys, rule):
+        code, out, err = run_cli(
+            capsys, "bounds", "--f", "x^2", "--a", "1", "--b", "1", "--rule", rule
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {rule} needs a non-degenerate interval\n"
 
     def test_require_exact_refuses_heuristic_band(self, capsys):
         code, out, err = run_cli(
@@ -308,6 +318,28 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--trials", "0", "--seed", "1")
         assert code == 1
         assert "trials must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "hh", "--tol", "nan"],
+        ["verify", "--trials", "1", "--seed", "1", "--tol", "nan"],
+    ],
+    ids=["bounds", "verify"],
+)
+def test_nan_tolerance_exits_1(argv):
+    # a NaN tolerance must be refused up front: every acceptance test
+    # against it is false, so the oracle would split to the depth cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "convexcert.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: tolerance must be > 0, got nan\n"
 
 
 def test_module_entry_point_smoke():

@@ -11,7 +11,6 @@ from convexcert.core import (
     Interval,
     NonConstantExponent,
     NonSmoothExpression,
-    ParameterOutOfRange,
     ParseError,
     Provenance,
 )
@@ -298,7 +297,3 @@ class TestCurvatureRange:
     def test_weight_spec_rejected(self):
         with pytest.raises(NonSmoothExpression):
             curvature_range(evaluation_spec("x"), Interval(0.0, 1.0))
-
-    def test_bad_sample_count_rejected(self):
-        with pytest.raises(ParameterOutOfRange):
-            curvature_range(function_spec("x^2"), Interval(0.0, 1.0), samples=1)

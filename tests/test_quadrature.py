@@ -163,3 +163,33 @@ class TestClassifyWeight:
     def test_tiny_negative_noise_tolerated(self):
         ws = classify_weight(evaluation_spec("0 - 1e-12"), UNIT)
         assert ws.range01
+
+    def test_weight_is_sampled_once_plus_mirrors(self):
+        # 101 grid values, then the mirrored points until the first
+        # mismatch: all 101 for a symmetric weight, one for 2*x
+        for text, calls in (("x*(1 - x)", 202), ("2*x", 102)):
+            g = Counted(text)
+            classify_weight(g, UNIT)
+            assert g.calls == calls, text
+
+    @pytest.mark.parametrize(
+        "text", ["0.7", "x", "1 - x", "1 - abs(2*x - 1)", "x*(1 - x)*(1 + x)", "2*x"]
+    )
+    def test_flags_match_the_standalone_checks(self, text):
+        g = evaluation_spec(text)
+        ws = classify_weight(g, UNIT)
+        assert ws.symmetric == check_symmetry(g, UNIT)
+        assert ws.monotone is check_monotone(g, UNIT)
+
+
+class Counted:
+    """A weight that counts its evaluations."""
+
+    def __init__(self, text):
+        self.spec = evaluation_spec(text)
+        self.text = text
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.spec(x)
