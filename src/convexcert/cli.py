@@ -37,6 +37,7 @@ from .core import (
     Provenance,
     QuadResult,
     Rule,
+    check_tolerance,
     enclosure_contains,
     make_interval,
 )
@@ -344,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if "tol" in vars(args):
+            check_tolerance(args.tol)
         return args.func(args)
     except CertError as exc:
         print(f"error: {exc}", file=sys.stderr)

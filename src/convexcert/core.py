@@ -287,8 +287,20 @@ def make_interval(a: float, b: float) -> tuple[Interval, bool]:
     return Interval(a, b), False
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse an oracle tolerance that is not a finite number > 0.
+
+    Every comparison against a NaN tolerance is false and every one
+    against an infinite tolerance is true, so neither can decide a check.
+    """
+    if not tol > 0.0:
+        raise ParameterOutOfRange(f"tolerance must be > 0, got {tol}")
+    if tol == math.inf:
+        raise ParameterOutOfRange(f"tolerance must be finite, got {tol}")
+
+
 def enclosure_contains(enc: Enclosure, value: float, tol: float = 0.0) -> bool:
     """True iff ``value`` lies in [lower - tol, upper + tol]."""
-    if tol < 0.0:
-        raise ParameterOutOfRange(f"tolerance must be >= 0, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterOutOfRange(f"tolerance must be finite and >= 0, got {tol}")
     return (enc.lower - tol) <= value <= (enc.upper + tol)

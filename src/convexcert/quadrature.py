@@ -1,13 +1,21 @@
-"""Numerical oracle (adaptive Simpson quadrature) and sampled hypothesis checks.
+"""Numerical oracle (adaptive Gauss–Kronrod quadrature) and sampled hypothesis checks.
 
 The integrator is the package's only source of "true" integral values.
-It subdivides until the Richardson error estimate on each subinterval
-is below the tolerance *pro-rated by subinterval width*, so the local
-errors sum to at most the requested absolute tolerance for the whole
-interval.  Hitting the depth cap never raises — it returns the best
-estimate with ``converged=False`` and lets callers decide (the
-falsification harness, for instance, records such checks as
-inconclusive rather than failed).
+It is the 7-point Gauss / 15-point Kronrod pair of QUADPACK's ``qk15``
+(Piessens et al., *QUADPACK*, Springer 1983), applied adaptively from
+an explicit stack.  It starts from 8 equal panels, so a narrow feature
+cannot hide inside one coarse panel.  On each panel the K15 sum is the
+value and ``|K15 - G7|`` the error estimate, reported as is (without
+QUADPACK's rescaling, which can shrink it below the real gap).  A panel
+is accepted when its error is at most the tolerance *pro-rated by panel
+width*, so the accepted errors sum to at most the requested absolute
+tolerance, or when it is at most ``50·ε·∫|f|`` over the panel, the
+rounding floor below which no further split can resolve it.  Any
+other panel is halved.  The result's error estimate is the sum of the
+panel errors.  Hitting the depth cap never raises — the panel is
+accepted and the result carries ``converged=False``, and callers
+decide (the falsification harness, for instance, records such checks
+as inconclusive rather than failed).
 
 Every hypothesis check — f'' >= 0, and a weight's sign, ``[0, 1]``
 range, symmetry and monotonicity — is sampled, not certified: it reads
@@ -17,7 +25,10 @@ one grid of 101 uniform points with a slack of 1e-9, and steps within
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Callable, Iterable
+from operator import mul
 
 from .core import (
     ConvexityViolated,
@@ -28,6 +39,7 @@ from .core import (
     ParameterOutOfRange,
     QuadResult,
     WeightSpec,
+    check_tolerance,
 )
 from .expr import FunctionSpec
 
@@ -45,6 +57,39 @@ __all__ = [
 
 MAX_DEPTH = 50
 
+# qk15 on [-1, 1]: the 15 Kronrod nodes in increasing order, with the
+# 7 Gauss nodes at the odd positions, and the weights of both rules
+_XK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_NODES = tuple(-x for x in _XK) + (0.0,) + _XK[::-1]
+_K15 = _WK + (0.209482141084727828012999174891714,) + _WK[::-1]
+_G7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
+
+# qk15's rounding floor: a panel error at most this times ∫|f| over the
+# panel is below what any further split can resolve
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+
 # grid size and slack of every sampled check
 _SAMPLES = 101
 _SLACK = 1e-9
@@ -60,22 +105,24 @@ def integrate(
     max_depth: int = MAX_DEPTH,
     min_depth: int = 3,
 ) -> QuadResult:
-    """Integrate ``f`` over the interval with adaptive Simpson.
+    """Integrate ``f`` over the interval with adaptive Gauss–Kronrod (G7/K15).
 
-    Each subinterval is accepted once ``|S(left) + S(right) - S(whole)| / 15``
-    drops below ``tol * (subwidth / width)``; the returned value uses the
-    Richardson-extrapolated sum.  ``tol`` is absolute.  Acceptance is
-    deferred until ``min_depth`` (default 3, i.e. at least 8 panels) so
-    an accidental agreement of the first coarse rules cannot terminate
-    the recursion before the integrand has been meaningfully sampled.
+    The interval starts as ``2**min_depth`` equal panels (8 by default),
+    so an accidental agreement of the first coarse rules cannot accept a
+    panel before the integrand has been meaningfully sampled.  A panel of
+    width ``w`` is accepted once ``|K15 - G7| <= tol * w / width`` (``tol``
+    is absolute for the whole interval) or once ``|K15 - G7|`` is at most
+    ``50·ε`` times the K15 integral of ``|f|`` over the panel, the rounding
+    floor that lets large-magnitude integrands converge.  Otherwise it is
+    halved; a panel at ``max_depth`` halvings is accepted unconverged.
 
     Returns:
-        QuadResult with the estimate, a summed error estimate, the
-        number of function evaluations, and a convergence flag which is
-        False iff some subinterval hit the depth cap.
+        QuadResult with the sum of the accepted panels' K15 values, the
+        sum of their ``|K15 - G7|``, the number of function evaluations
+        (15 per panel, split or accepted), and a convergence flag which
+        is False iff some panel hit the depth cap.
     """
-    if not tol > 0.0:
-        raise ParameterOutOfRange(f"tolerance must be > 0, got {tol}")
+    check_tolerance(tol)
     if not 0 <= min_depth <= max_depth:
         raise ParameterOutOfRange(
             f"need 0 <= min_depth <= max_depth, got {min_depth}, {max_depth}"
@@ -84,53 +131,40 @@ def integrate(
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
 
-    evals = 0
-
-    def call(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(x)
-
     width = b - a
+    panels = 1 << min_depth
+    step = width / panels
+    edges = [a + k * step for k in range(panels)] + [b]
+    stack = [(edges[k], edges[k + 1], min_depth) for k in reversed(range(panels))]
+    values: list[float] = []
+    errors: list[float] = []
     converged = True
-    total_err = 0.0
+    evals = 0
+    while stack:
+        lo, hi, depth = stack.pop()
+        value, err, mass = _kronrod(f, lo, hi)
+        evals += len(_NODES)
+        if not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * mass):
+            if depth < max_depth:
+                mid = 0.5 * (lo + hi)
+                stack.append((mid, hi, depth + 1))
+                stack.append((lo, mid, depth + 1))
+                continue
+            converged = False
+        values.append(value)
+        errors.append(err)
+    return QuadResult(math.fsum(values), math.fsum(errors), evals, converged)
 
-    def simpson(lo: float, flo: float, fmid: float, hi: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
-    def recurse(
-        lo: float,
-        flo: float,
-        mid: float,
-        fmid: float,
-        hi: float,
-        fhi: float,
-        whole: float,
-        depth: int,
-    ) -> float:
-        nonlocal converged, total_err
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm, frm = call(lm), call(rm)
-        left = simpson(lo, flo, flm, mid, fmid)
-        right = simpson(mid, fmid, frm, hi, fhi)
-        err = (left + right - whole) / 15.0
-        accepted = depth >= min_depth and abs(err) <= tol * (hi - lo) / width
-        if accepted or depth >= max_depth:
-            if not accepted:
-                converged = False
-            total_err += abs(err)
-            return left + right + err
-        return recurse(lo, flo, lm, flm, mid, fmid, left, depth + 1) + recurse(
-            mid, fmid, rm, frm, hi, fhi, right, depth + 1
-        )
-
-    fa, fb = call(a), call(b)
-    mid = 0.5 * (a + b)
-    fmid = call(mid)
-    whole = simpson(a, fa, fmid, b, fb)
-    value = recurse(a, fa, mid, fmid, b, fb, whole, 0)
-    return QuadResult(value, total_err, evals, converged)
+def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
+    """(K15 value, |K15 - G7|, K15 value of |f|) of one panel."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fx = [f(center + half * x) for x in _NODES]
+    k15 = sum(map(mul, _K15, fx))
+    g7 = sum(map(mul, _G7, fx[1::2]))
+    mass = sum(map(mul, _K15, map(abs, fx)))
+    return half * k15, abs(half * (k15 - g7)), half * mass
 
 
 def moment_ab(

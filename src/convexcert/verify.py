@@ -31,6 +31,7 @@ from .core import (
     Provenance,
     QuadResult,
     WeightSpec,
+    check_tolerance,
 )
 from .expr import Binary, Const, FunctionSpec, Node, Unary, Var, function_spec, evaluation_spec
 from .quadrature import classify_weight
@@ -475,8 +476,7 @@ def falsify(trials: int, seed: int, tol: float = 1e-10) -> TrialReport:
     """
     if trials < 1:
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
-    if not tol > 0.0:
-        raise ParameterOutOfRange(f"tolerance must be > 0, got {tol}")
+    check_tolerance(tol)
     battery = _Battery(slack=10.0 * tol)
     for index in range(trials):
         _run_trial(battery, seed, index, tol)

@@ -320,35 +320,56 @@ class TestVerify:
         assert "trials must be >= 1" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "hh", "--tol", "nan"],
-        ["verify", "--trials", "1", "--seed", "1", "--tol", "nan"],
-    ],
-    ids=["bounds", "verify"],
-)
-def test_nan_tolerance_exits_1(argv):
-    # a NaN tolerance must be refused up front: every acceptance test
-    # against it is false, so the oracle would split to the depth cap
-    proc = subprocess.run(
+def run_module(*argv):
+    """Run ``python -m convexcert.cli`` on this checkout's ``src``,
+    whether or not the package is installed."""
+    return subprocess.run(
         [sys.executable, "-m", "convexcert.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "hh", "--tol", "nan"],
+        ["verify", "--trials", "1", "--seed", "1", "--tol", "nan"],
+        ["bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "chord-gap",
+         "--lambda", "0.5", "--tol", "nan"],
+        ["young", "--a", "1", "--b", "4", "--lambda", "0.3", "--tol", "nan"],
+    ],
+    ids=["bounds", "verify", "bounds-no-oracle", "young"],
+)
+def test_nan_tolerance_exits_1(argv):
+    # a NaN tolerance must be refused up front: every acceptance test
+    # against it is false, so the oracle would split to the depth cap,
+    # and every containment test is false, so values inside read as VIOLATIONs
+    proc = run_module(*argv)
     assert proc.returncode == 1
     assert proc.stderr == "error: tolerance must be > 0, got nan\n"
 
 
+def test_infinite_tolerance_exits_1():
+    # an infinite slack would call any enclosure "contained"
+    proc = run_module("bounds", "--f", "x^2", "--a", "0", "--b", "1", "--m", "100",
+                      "--M", "200", "--rule", "midpoint-gap", "--tol", "inf")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: tolerance must be finite, got inf\n"
+
+
+def test_steep_exponential_converges():
+    # max|f| * width ~ 7e6: no panel reaches the absolute tolerance, the
+    # rounding floor of the oracle has to accept them
+    proc = run_module("bounds", "--f", "1.7*exp(12.3*x)", "--a=-0.3", "--b=1.3",
+                      "--rule", "hh", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)[0]["oracle_converged"] is True
+
+
 def test_module_entry_point_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "convexcert.cli",
-         "bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "hh", "--json"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_module("bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "hh", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["contained"] is True

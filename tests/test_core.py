@@ -141,6 +141,12 @@ class TestEnclosure:
         with pytest.raises(ParameterOutOfRange):
             enclosure_contains(self._enc(0.0, 1.0), 0.5, tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_contains_rejects_non_finite_tol(self, tol):
+        # an infinite slack contains everything, a NaN slack nothing
+        with pytest.raises(ParameterOutOfRange):
+            enclosure_contains(self._enc(0.0, 1.0), 0.5, tol=tol)
+
 
 def test_rule_values_are_kebab_case():
     for rule in Rule:

@@ -44,10 +44,16 @@ class TestIntegrate:
         assert abs(r2.value - 4.0) <= 1e-12
 
     def test_minimum_panel_count(self):
-        # Acceptance is deferred to depth 3, i.e. 8 panels: 15 recursion
-        # nodes at 2 evaluations each, plus the 3 seed points.
+        # Acceptance is deferred to depth 3, i.e. 8 panels of 15 Kronrod
+        # nodes each; K15 is exact on t*t, so none of them splits.
         r = integrate(lambda t: t * t, UNIT)
-        assert r.evaluations == 33
+        assert r.evaluations == 8 * 15
+
+    def test_evaluations_count_every_call(self):
+        # the kink splits panels, whose evaluations count as well
+        calls = []
+        r = integrate(lambda t: calls.append(t) or abs(t - 0.0018), UNIT)
+        assert r.evaluations == len(calls) > 8 * 15
 
     def test_linearity(self):
         f = math.exp
@@ -61,9 +67,10 @@ class TestIntegrate:
         assert r == QuadResult(0.0, 0.0, 0, True)
 
     def test_depth_cap_reports_not_converged(self):
-        r = integrate(math.exp, UNIT, tol=1e-14, max_depth=3)
+        # the sqrt singularity at 0 needs far more than 3 halvings
+        r = integrate(math.sqrt, UNIT, max_depth=3)
         assert not r.converged
-        assert r.value == pytest.approx(math.e - 1.0, abs=1e-6)
+        assert r.value == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_step_function_never_converges(self):
         c = 1.0 / math.sqrt(2.0)
@@ -81,7 +88,15 @@ class TestIntegrate:
         exact = (kink**2 + (1.0 - kink) ** 2) / 2.0
         assert abs(r.value - exact) <= 1e-9
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3])
+    def test_large_magnitude_integrand_converges(self):
+        # |K15 - G7| cannot drop below the rounding of values near 1e13,
+        # far above the 1e-10 absolute tolerance: the rounding floor accepts
+        r = integrate(lambda t: math.exp(30.0 * t), UNIT)
+        assert r.converged
+        exact = math.expm1(30.0) / 30.0
+        assert abs(r.value - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.inf, math.nan])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ParameterOutOfRange):
             integrate(math.exp, UNIT, tol=tol)
@@ -93,6 +108,30 @@ class TestIntegrate:
 
     def test_default_depth_cap_is_generous(self):
         assert MAX_DEPTH == 50
+
+
+# integrand, its mpmath form, the interval with the points where the
+# mpmath reference splits it, and whether the oracle converges (the
+# error per unit width of log near 0 never shrinks, so it hits the cap)
+MPMATH_CASES = {
+    "kink": ("abs(x - 0.0018)", lambda mp, t: abs(t - 0.0018), (0.0, 0.0018, 1.0), True),
+    "sqrt": ("x^0.5", lambda mp, t: mp.sqrt(t), (0.0, 1.0), True),
+    "log": ("log(x)", lambda mp, t: mp.log(t), (0.0, 1.0), False),
+    "reciprocal": ("1/x", lambda mp, t: 1 / t, (1e-3, 1.0), True),
+    "softplus": ("log(1 + exp(200*x))", lambda mp, t: mp.log(1 + mp.exp(200 * t)),
+                 (-1.0, 0.0, 1.37), True),
+}
+
+
+@pytest.mark.parametrize("case", MPMATH_CASES)
+def test_agrees_with_mpmath(case):
+    mpmath = pytest.importorskip("mpmath")
+    text, reference, points, converged = MPMATH_CASES[case]
+    r = integrate(evaluation_spec(text), Interval(points[0], points[-1]))
+    with mpmath.workdps(30):
+        exact = float(mpmath.quad(lambda t: reference(mpmath, t), points))
+    assert r.converged is converged
+    assert abs(r.value - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
 class TestMoments:

@@ -185,3 +185,8 @@ class TestFalsify:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             falsify(1, 1, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ParameterOutOfRange):
+            falsify(1, 1, tol=tol)
