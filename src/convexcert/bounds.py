@@ -143,6 +143,17 @@ def _symmetric_weight(g: WeightLike, interval: Interval) -> WeightSpec:
     return ws
 
 
+def _barycentre(nodes: NodeWeights, interval: Interval) -> float:
+    """A = (pa + qb)/(p + q); the midpoint when p = q."""
+    return (nodes.p * interval.a + nodes.q * interval.b) / (nodes.p + nodes.q)
+
+
+def _window(nodes: NodeWeights, interval: Interval, y: float) -> Interval:
+    """The window [A - y, A + y] around the barycentre A."""
+    center = _barycentre(nodes, interval)
+    return Interval(center - y, center + y)
+
+
 def _oracle(result: QuadResult, what: str) -> float:
     if not result.converged:
         raise OracleInconclusive(f"oracle did not converge for {what}", result.value)
@@ -177,29 +188,41 @@ def hermite_hadamard(f: FunctionSpec, interval: Interval) -> Enclosure:
     )
 
 
+def _sandwich(
+    f: FunctionSpec, ws: WeightSpec, interval: Interval, nodes: NodeWeights,
+    window: Interval, tol: float, rule: Rule,
+) -> Enclosure:
+    """The two-node sandwich, after the caller's guards::
+
+        f(A) ∫g  <=  ∫fg  <=  (p f(a) + q f(b))/(p + q) ∫g
+
+    with A = (pa + qb)/(p + q) and both integrals over the window, a
+    subinterval of [a, b] centred at A.
+    """
+    p, q = nodes.p, nodes.q
+    G = max(_integral(ws.function, window, tol, "integral of the weight"), 0.0)
+    lo = f(_barycentre(nodes, interval)) * G
+    hi = (p * f(interval.a) + q * f(interval.b)) / (p + q) * G
+    what = f"integral of {f.text} * {ws.function.text} over [{window.a}, {window.b}]"
+    return _enclosure(lo, hi, what, rule)
+
+
 def fejer(
     f: FunctionSpec, g: WeightLike, interval: Interval, tol: float = 1e-10
 ) -> Enclosure:
     """Weighted sandwich: f(mid) ∫g  <=  ∫fg  <=  (f(a)+f(b))/2 ∫g
     for convex f and a nonnegative weight symmetric about the midpoint.
 
-    With g ≡ 1 this reduces to :func:`hermite_hadamard` scaled by the
-    interval width (same arithmetic shape, oracle-exact ∫g).
+    This is the equal-node case p = q of :func:`vasic_lackovic`, with
+    the window the whole interval.  With g ≡ 1 it reduces to
+    :func:`hermite_hadamard` scaled by the interval width (same
+    arithmetic shape, oracle-exact ∫g).
     """
     if interval.is_degenerate():
         raise ParameterOutOfRange("weighted sandwich needs a non-degenerate interval")
     ws = _symmetric_weight(g, interval)
     require_convex(f, interval)
-    G = _integral(ws.function, interval, tol, "integral of the weight")
-    G = max(G, 0.0)
-    lo = f(interval.midpoint) * G
-    hi = 0.5 * (f(interval.a) + f(interval.b)) * G
-    return _enclosure(
-        lo,
-        hi,
-        f"integral of {f.text} * {ws.function.text} over [{interval.a}, {interval.b}]",
-        Rule.FEJER,
-    )
+    return _sandwich(f, ws, interval, NodeWeights(1.0, 1.0), interval, tol, Rule.FEJER)
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +398,8 @@ def _check_x(interval: Interval, x: float) -> None:
 def _endpoint_functional(
     name: str, f: FunctionSpec, g: WeightLike, interval: Interval, x: float, tol: float
 ) -> float:
-    """h1 or h2, after checking x, the weight's direction and convexity."""
+    """h1 or h2: the weighted trapezoid or midpoint gap on [a, x], after
+    checking x, the weight's direction and convexity."""
     _check_x(interval, x)
     ws = _as_weight(g, interval)
     rises, falls = monotone_profile(ws.function, interval)
@@ -390,12 +414,8 @@ def _endpoint_functional(
     require_convex(f, interval)
     if x == interval.a:
         return 0.0
-    sub = Interval(interval.a, x)
-    G = _integral(ws.function, sub, tol, "integral of the weight")
-    FG = _integral(lambda t: f(t) * ws.function(t), sub, tol, "integral of f*g")
-    if name == "h1":
-        return 0.5 * (f(interval.a) + f(x)) * G - FG
-    return FG - f(0.5 * (interval.a + x)) * G
+    rule = Rule.WEIGHTED_TRAPEZOID_GAP if name == "h1" else Rule.WEIGHTED_MIDPOINT_GAP
+    return _oracle(target_gap(rule, f, Interval(interval.a, x), g=ws, tol=tol), name)
 
 
 def h1_functional(
@@ -435,14 +455,27 @@ def h2_functional(
 # --------------------------------------------------------------------------
 
 
-def _trap_gap(f: FunctionSpec, interval: Interval, tol: float) -> float:
-    F = _integral(f, interval, tol, "integral of f")
-    return 0.5 * (f(interval.a) + f(interval.b)) - F / interval.width
+def _subinterval_rho(f: FunctionSpec, interval: Interval, x: float, degenerate: str) -> float:
+    """Check x, a non-degenerate interval (else raise ``degenerate``) and
+    convexity; return ρ = (x-a)/(b-a)."""
+    _check_x(interval, x)
+    if interval.is_degenerate():
+        raise ParameterOutOfRange(degenerate)
+    require_convex(f, interval)
+    return (x - interval.a) / interval.width
 
 
-def _mid_gap(f: FunctionSpec, interval: Interval, tol: float) -> float:
-    F = _integral(f, interval, tol, "integral of f")
-    return F / interval.width - f(interval.midpoint)
+def _gaps(
+    f: FunctionSpec, interval: Interval, tol: float, trapezoid: bool = True
+) -> tuple[float | None, float]:
+    """(trapezoid gap, midpoint gap) of f on the interval from one ∫f.
+
+    With ``trapezoid=False`` the first entry is None and f is not
+    evaluated at the endpoints.
+    """
+    mean = _integral(f, interval, tol, "integral of f") / interval.width
+    trap = 0.5 * (f(interval.a) + f(interval.b)) - mean if trapezoid else None
+    return trap, mean - f(interval.midpoint)
 
 
 def hh_gap_monotone(
@@ -455,21 +488,10 @@ def hh_gap_monotone(
     interval and on [a, x].  For convex f each pair satisfies
     first >= second >= 0.
     """
-    _check_x(interval, x)
-    if interval.is_degenerate():
-        raise ParameterOutOfRange("gap monotonicity needs a non-degenerate interval")
-    require_convex(f, interval)
-    rho = (x - interval.a) / interval.width
-    if x == interval.a:
-        sub_trap = sub_mid = 0.0
-    else:
-        sub = Interval(interval.a, x)
-        sub_trap = rho * _trap_gap(f, sub, tol)
-        sub_mid = rho * _mid_gap(f, sub, tol)
-    return (
-        (_trap_gap(f, interval, tol), sub_trap),
-        (_mid_gap(f, interval, tol), sub_mid),
-    )
+    rho = _subinterval_rho(f, interval, x, "gap monotonicity needs a non-degenerate interval")
+    sub_trap, sub_mid = (0.0, 0.0) if x == interval.a else _gaps(f, Interval(interval.a, x), tol)
+    trap, mid = _gaps(f, interval, tol)
+    return (trap, rho * sub_trap), (mid, rho * sub_mid)
 
 
 def refined_gap_chains(
@@ -493,18 +515,14 @@ def refined_gap_chains(
     padding) M x²/2 - f, so the constants stay those of the full
     interval.  For convex f: first >= second >= 0 in each pair.
     """
-    _check_x(interval, x)
-    if interval.is_degenerate():
-        raise ParameterOutOfRange("refined chains need a non-degenerate interval")
-    require_convex(f, interval)
+    rho = _subinterval_rho(f, interval, x, "refined chains need a non-degenerate interval")
     w = interval.width
     wx = x - interval.a
-    rho = wx / w
-    g_ab = _mid_gap(f, interval, tol)
+    g_ab = _gaps(f, interval, tol, trapezoid=False)[1]
     if x == interval.a:
         second_a = second_b = 0.0
     else:
-        g_ax = _mid_gap(f, Interval(interval.a, x), tol)
+        g_ax = _gaps(f, Interval(interval.a, x), tol, trapezoid=False)[1]
         second_a = rho * (g_ax - c.m * wx**2 / 24.0)
         second_b = rho * (c.M * wx**2 / 8.0 - g_ax)
     pair_a = (g_ab - c.m * w**2 / 24.0, second_a)
@@ -535,27 +553,17 @@ def vasic_lackovic(
     which is exactly the condition keeping the window inside [a, b].
     """
     p, q = weights.p, weights.q
-    a, b = interval.a, interval.b
     if y <= 0.0:
         raise ParameterOutOfRange(f"window half-width must be > 0, got {y}")
-    radius = (b - a) * min(p, q) / (p + q)
+    radius = interval.width * min(p, q) / (p + q)
     if y > radius:
         raise AdmissibilityViolated(
             f"half-width {y} exceeds admissible radius {radius} for (p, q) = ({p}, {q})"
         )
-    center = (p * a + q * b) / (p + q)
-    window = Interval(center - y, center + y)
+    window = _window(weights, interval, y)
     require_convex(f, interval)
     ws = _symmetric_weight(g, window)
-    G = max(_integral(ws.function, window, tol, "integral of the weight"), 0.0)
-    lo = f(center) * G
-    hi = (p * f(a) + q * f(b)) / (p + q) * G
-    return _enclosure(
-        lo,
-        hi,
-        f"integral of {f.text} * {ws.function.text} over [{window.a}, {window.b}]",
-        Rule.VASIC_LACKOVIC,
-    )
+    return _sandwich(f, ws, interval, weights, window, tol, Rule.VASIC_LACKOVIC)
 
 
 # --------------------------------------------------------------------------
@@ -652,11 +660,7 @@ def target_vasic_lackovic(
     f, g: WeightLike, weights: NodeWeights, interval: Interval, y: float, tol: float = 1e-10
 ) -> QuadResult:
     """Oracle for ∫ f g over the admissible window around the barycentre."""
-    p, q = weights.p, weights.q
-    center = (p * interval.a + q * interval.b) / (p + q)
-    window = Interval(center - y, center + y)
-    gfn = _weight_function(g)
-    return integrate(lambda t: f(t) * gfn(t), window, tol)
+    return target_fejer(f, g, _window(weights, interval, y), tol)
 
 
 # --------------------------------------------------------------------------

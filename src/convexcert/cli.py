@@ -37,6 +37,7 @@ from .core import (
     Provenance,
     QuadResult,
     Rule,
+    SymmetryViolated,
     check_tolerance,
     enclosure_contains,
     make_interval,
@@ -199,7 +200,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             # node weights are validated only once a window rule runs
             problem = replace(problem, nodes=NodeWeights(args.p, args.q))
         prov = band.provenance.value if spec.band else "not-used"
-        enc, target = spec.enclose(problem), spec.target(problem)
+        try:
+            enc = spec.enclose(problem)
+        except SymmetryViolated as exc:
+            # one --g weight cannot be symmetric about both the midpoint
+            # and an off-centre barycentre: under `all`, drop only the window rule
+            if args.rule != "all" or not spec.window:
+                raise
+            notes.append(f"{rule.value} skipped: {exc}")
+            continue
+        target = spec.target(problem)
         certs.append(_make_certificate(rule, interval, rule_inputs, enc, target, tol, prov))
     return _emit_certificates(certs, args.json, notes)
 
@@ -231,44 +241,33 @@ def cmd_young(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+# the classical means in increasing order, as the ordering chain checks them
+_MEAN_ORDER = ("harmonic", "geometric", "logarithmic", "identric", "arithmetic")
+
+
 def cmd_means(args: argparse.Namespace) -> int:
     a, b = args.a, args.b
-    rows: list[tuple[str, float]] = [
-        ("arithmetic", mn.arithmetic_mean(a, b)),
-        ("geometric", mn.geometric_mean(a, b)),
-        ("harmonic", mn.harmonic_mean(a, b)),
-        ("logarithmic", mn.logarithmic_mean(a, b)),
-        ("identric", mn.identric_mean(a, b)),
-    ]
+    means = {
+        "arithmetic": mn.arithmetic_mean(a, b),
+        "geometric": mn.geometric_mean(a, b),
+        "harmonic": mn.harmonic_mean(a, b),
+        "logarithmic": mn.logarithmic_mean(a, b),
+        "identric": mn.identric_mean(a, b),
+    }
     if args.p is not None:
-        rows.append((f"power(p={_FMT.format(args.p)})", mn.power_mean(args.p, a, b)))
-        rows.append(
-            (f"integral-power(p={_FMT.format(args.p)})", mn.integral_power_mean(args.p, a, b))
-        )
-    ordering = [
-        mn.harmonic_mean(a, b),
-        mn.geometric_mean(a, b),
-        mn.logarithmic_mean(a, b),
-        mn.identric_mean(a, b),
-        mn.arithmetic_mean(a, b),
-    ]
+        means[f"power(p={_FMT.format(args.p)})"] = mn.power_mean(args.p, a, b)
+        means[f"integral-power(p={_FMT.format(args.p)})"] = mn.integral_power_mean(args.p, a, b)
+    ordering = [means[name] for name in _MEAN_ORDER]
     slack = 1e-12 * max(1.0, max(ordering))
     ordering_ok = all(u <= v + slack for u, v in zip(ordering, ordering[1:]))
     if args.json:
-        payload = {
-            "a": a,
-            "b": b,
-            "p": args.p,
-            "means": {name: value for name, value in rows},
-            "ordering_ok": ordering_ok,
-        }
+        payload = {"a": a, "b": b, "p": args.p, "means": means, "ordering_ok": ordering_ok}
         print(json.dumps(payload, indent=2))
     else:
-        width = max(len(name) for name, _ in rows)
-        for name, value in rows:
+        width = max(map(len, means))
+        for name, value in means.items():
             print(f"{name.ljust(width)}  {_FMT.format(value)}")
-        print(f"ordering harmonic <= geometric <= logarithmic <= identric <= arithmetic: "
-              f"{'ok' if ordering_ok else 'VIOLATED'}")
+        print(f"ordering {' <= '.join(_MEAN_ORDER)}: {'ok' if ordering_ok else 'VIOLATED'}")
     return 0 if ordering_ok else 2
 
 

@@ -60,7 +60,7 @@ class NonSmoothExpression(CertError):
 
 
 class OracleInconclusive(CertError):
-    """The quadrature oracle hit its depth cap without converging."""
+    """The quadrature oracle did not converge (depth cap or a non-finite panel)."""
 
     def __init__(self, message: str, best_estimate: float) -> None:
         super().__init__(message)

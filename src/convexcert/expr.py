@@ -539,7 +539,6 @@ class FunctionSpec:
     ast: Node
     d1: Node | None = None
     d2: Node | None = None
-    domain_note: str = ""
     _fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _d1fn: Callable[[float], float] | None = field(init=False, repr=False, compare=False)
     _d2fn: Callable[[float], float] | None = field(init=False, repr=False, compare=False)
@@ -578,22 +577,22 @@ class FunctionSpec:
         return self._call_node(self._d2fn, "second derivative", x)
 
 
-def function_spec(source: str | Node, domain_note: str = "") -> FunctionSpec:
+def function_spec(source: str | Node) -> FunctionSpec:
     """Build a :class:`FunctionSpec` with symbolic first and second
     derivatives.  Rejects ``abs`` and non-constant exponents."""
     ast = parse(source) if isinstance(source, str) else source
     ast = simplify(ast)
     d1 = differentiate(ast)
     d2 = differentiate(d1)
-    return FunctionSpec(ast=ast, d1=d1, d2=d2, domain_note=domain_note)
+    return FunctionSpec(ast=ast, d1=d1, d2=d2)
 
 
-def evaluation_spec(source: str | Node, domain_note: str = "") -> FunctionSpec:
+def evaluation_spec(source: str | Node) -> FunctionSpec:
     """Build an evaluation-only :class:`FunctionSpec` (no derivatives).
     This is the right constructor for weights, which may contain
     ``abs``."""
     ast = parse(source) if isinstance(source, str) else source
-    return FunctionSpec(ast=simplify(ast), d1=None, d2=None, domain_note=domain_note)
+    return FunctionSpec(ast=simplify(ast), d1=None, d2=None)
 
 
 # --------------------------------------------------------------------------

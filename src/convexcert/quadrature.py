@@ -15,7 +15,9 @@ other panel is halved.  The result's error estimate is the sum of the
 panel errors.  Hitting the depth cap never raises — the panel is
 accepted and the result carries ``converged=False``, and callers
 decide (the falsification harness, for instance, records such checks
-as inconclusive rather than failed).
+as inconclusive rather than failed).  A panel whose value is not
+finite (an integrand that overflows or returns NaN) is accepted
+unconverged at once, since no split can resolve it.
 
 Every hypothesis check — f'' >= 0, and a weight's sign, ``[0, 1]``
 range, symmetry and monotonicity — is sampled, not certified: it reads
@@ -36,7 +38,6 @@ from .core import (
     Monotonicity,
     NegativeWeight,
     NonSmoothExpression,
-    ParameterOutOfRange,
     QuadResult,
     WeightSpec,
     check_tolerance,
@@ -55,7 +56,10 @@ __all__ = [
     "MAX_DEPTH",
 ]
 
+# halvings at which a panel is accepted unconverged, and the halvings
+# of the starting grid (2**3 = 8 equal panels); both are read at call time
 MAX_DEPTH = 50
+_MIN_DEPTH = 3
 
 # qk15 on [-1, 1]: the 15 Kronrod nodes in increasing order, with the
 # 7 Gauss nodes at the odd positions, and the weights of both rules
@@ -98,54 +102,48 @@ _SLACK = 1e-9
 _TIE_TOL = 1e-12
 
 
-def integrate(
-    f: Callable[[float], float],
-    interval: Interval,
-    tol: float = 1e-10,
-    max_depth: int = MAX_DEPTH,
-    min_depth: int = 3,
-) -> QuadResult:
+def integrate(f: Callable[[float], float], interval: Interval, tol: float = 1e-10) -> QuadResult:
     """Integrate ``f`` over the interval with adaptive Gauss–Kronrod (G7/K15).
 
-    The interval starts as ``2**min_depth`` equal panels (8 by default),
-    so an accidental agreement of the first coarse rules cannot accept a
-    panel before the integrand has been meaningfully sampled.  A panel of
-    width ``w`` is accepted once ``|K15 - G7| <= tol * w / width`` (``tol``
-    is absolute for the whole interval) or once ``|K15 - G7|`` is at most
-    ``50·ε`` times the K15 integral of ``|f|`` over the panel, the rounding
-    floor that lets large-magnitude integrands converge.  Otherwise it is
-    halved; a panel at ``max_depth`` halvings is accepted unconverged.
+    The interval starts as 8 equal panels, so an accidental agreement of
+    the first coarse rules cannot accept a panel before the integrand has
+    been meaningfully sampled.  A panel of width ``w`` is accepted once
+    ``|K15 - G7| <= tol * w / width`` (``tol`` is absolute for the whole
+    interval) or once ``|K15 - G7|`` is at most ``50·ε`` times the K15
+    integral of ``|f|`` over the panel, the rounding floor that lets
+    large-magnitude integrands converge.  Otherwise it is halved; a panel
+    at :data:`MAX_DEPTH` halvings, or with a non-finite value, is accepted
+    unconverged.
 
     Returns:
         QuadResult with the sum of the accepted panels' K15 values, the
         sum of their ``|K15 - G7|``, the number of function evaluations
         (15 per panel, split or accepted), and a convergence flag which
-        is False iff some panel hit the depth cap.
+        is False iff some panel hit the depth cap or was not finite.
     """
     check_tolerance(tol)
-    if not 0 <= min_depth <= max_depth:
-        raise ParameterOutOfRange(
-            f"need 0 <= min_depth <= max_depth, got {min_depth}, {max_depth}"
-        )
     a, b = interval.a, interval.b
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
 
     width = b - a
-    panels = 1 << min_depth
+    panels = 1 << _MIN_DEPTH
     step = width / panels
     edges = [a + k * step for k in range(panels)] + [b]
-    stack = [(edges[k], edges[k + 1], min_depth) for k in reversed(range(panels))]
+    stack = [(edges[k], edges[k + 1], _MIN_DEPTH) for k in reversed(range(panels))]
     values: list[float] = []
     errors: list[float] = []
     converged = True
+    nonfinite = False
     evals = 0
     while stack:
         lo, hi, depth = stack.pop()
         value, err, mass = _kronrod(f, lo, hi)
         evals += len(_NODES)
-        if not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * mass):
-            if depth < max_depth:
+        if not math.isfinite(value):
+            converged, nonfinite = False, True
+        elif not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * mass):
+            if depth < MAX_DEPTH:
                 mid = 0.5 * (lo + hi)
                 stack.append((mid, hi, depth + 1))
                 stack.append((lo, mid, depth + 1))
@@ -153,7 +151,9 @@ def integrate(
             converged = False
         values.append(value)
         errors.append(err)
-    return QuadResult(math.fsum(values), math.fsum(errors), evals, converged)
+    # fsum refuses inf + (-inf); a non-finite total needs no compensation
+    total = sum(values) if nonfinite else math.fsum(values)
+    return QuadResult(total, math.fsum(errors), evals, converged)
 
 
 def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:

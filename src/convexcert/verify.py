@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import bounds as bd
 from . import means as mn
@@ -140,7 +140,7 @@ def _poly_node(coeffs: list[float], u: Node) -> Node:
     return node
 
 
-def random_symmetric_weight(seed: int, interval: Interval, range01: bool = True) -> WeightSpec:
+def random_symmetric_weight(seed: int, interval: Interval) -> WeightSpec:
     """Symmetrised positive cubic in the normalised coordinate.
 
     The base is p(τ) = q0 + q1 τ + q2 τ² + q3 τ³ with coefficients in
@@ -152,7 +152,7 @@ def random_symmetric_weight(seed: int, interval: Interval, range01: bool = True)
     of every trial, which this harness deliberately avoids.  With q
     nonnegative p is convex and nondecreasing on [0, 1], so the
     symmetrised sum peaks at the endpoints and the exact maximum
-    p(0) + p(1) scales the weight into [0, 1] when requested.
+    p(0) + p(1) scales the weight into [0, 1].
     """
     rng = random.Random(seed)
     q = [rng.uniform(0.1, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)]
@@ -162,11 +162,8 @@ def random_symmetric_weight(seed: int, interval: Interval, range01: bool = True)
     tau_mirror = Binary("div", Binary("sub", Const(b), Var()), Const(w))
     direct = Unary("abs", _poly_node(q, tau))
     mirrored = Unary("abs", _poly_node(q, tau_mirror))
-    if range01:
-        peak = 2.0 * q[0] + q[1] + q[2] + q[3]  # p(0) + p(1)
-        scale = 1.0 / (peak * (1.0 + 1e-12))
-    else:
-        scale = 0.5
+    peak = 2.0 * q[0] + q[1] + q[2] + q[3]  # p(0) + p(1)
+    scale = 1.0 / (peak * (1.0 + 1e-12))
     ast = Binary("mul", Const(scale), Binary("add", direct, mirrored))
     return classify_weight(evaluation_spec(ast), interval)
 
@@ -234,23 +231,8 @@ class TrialReport:
     op_counts: dict[str, int] = field(default_factory=dict, compare=False)
 
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "trials": self.trials,
-            "passed": self.passed,
-            "failed": self.failed,
-            "inconclusive": self.inconclusive,
-            "worst_violation": self.worst_violation,
-            "failures": [
-                {
-                    "trial": f.trial,
-                    "operation": f.operation,
-                    "recipe": f.recipe,
-                    "details": f.details,
-                }
-                for f in self.failures
-            ],
-        }
+        payload = asdict(self)
+        del payload["op_counts"]
         return json.dumps(payload, indent=2)
 
 
@@ -276,18 +258,6 @@ def _containment(enc: Enclosure, value: float) -> float:
 def _chain_violation(values: list[float]) -> float:
     """Largest violation of values[0] >= values[1] >= ... >= last."""
     return max(nxt - prev for prev, nxt in zip(values, values[1:]))
-
-
-def _once(fn):
-    """Memoize a zero-argument callable (shared oracle work within a trial)."""
-    box: list = []
-
-    def call():
-        if not box:
-            box.append(fn())
-        return box[0]
-
-    return call
 
 
 class _Battery:
@@ -351,17 +321,25 @@ class _Battery:
 
     def ordering(self, operation: str, make_values) -> None:
         """Check a nonincreasing chain of oracle-built values."""
+        self.orderings((operation,), lambda: [make_values()])
+
+    def orderings(self, operations: tuple[str, ...], make_chains) -> None:
+        """Check the chains of one call of ``make_chains``, one check per
+        operation label; an error in that call counts for every label."""
         try:
-            values = make_values()
+            chains = make_chains()
         except OracleInconclusive:
-            self._record(operation, _INCONCLUSIVE, 0.0, "")
+            for operation in operations:
+                self._record(operation, _INCONCLUSIVE, 0.0, "")
             return
         except CertError as exc:
-            self._record(operation, _FAIL, math.inf, f"unexpected error: {exc!r}")
+            for operation in operations:
+                self._record(operation, _FAIL, math.inf, f"unexpected error: {exc!r}")
             return
-        violation = _chain_violation(values)
-        status = _PASS if violation <= self.slack else _FAIL
-        self._record(operation, status, violation, f"chain not ordered: {values!r}")
+        for operation, values in zip(operations, chains):
+            violation = _chain_violation(values)
+            status = _PASS if violation <= self.slack else _FAIL
+            self._record(operation, status, violation, f"chain not ordered: {values!r}")
 
 
 def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float) -> None:
@@ -397,9 +375,10 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
         for variant in variants:
             battery.containment(spec.label, spec.enclose, spec.target, variant)
 
-    chains = _once(lambda: bd.complement_weight_chains(f, g_sym, c, interval, tol))
-    battery.ordering("complement_weight_chains_lower", lambda: list(chains()[0]))
-    battery.ordering("complement_weight_chains_upper", lambda: list(chains()[1]))
+    battery.orderings(
+        ("complement_weight_chains_lower", "complement_weight_chains_upper"),
+        lambda: [list(chain) for chain in bd.complement_weight_chains(f, g_sym, c, interval, tol)],
+    )
 
     # last point pinned to b: a + n*((b-a)/n) can overshoot b by one ulp
     x_grid = [a + k * (b - a) / _H_GRID_STEPS for k in range(1, _H_GRID_STEPS)] + [b]
@@ -418,12 +397,14 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
     )
 
     x_mid = interval.midpoint
-    monotone = _once(lambda: bd.hh_gap_monotone(f, interval, x_mid, tol))
-    battery.ordering("hh_gap_monotone_trapezoid", lambda: [*monotone()[0], 0.0])
-    battery.ordering("hh_gap_monotone_midpoint", lambda: [*monotone()[1], 0.0])
-    refined = _once(lambda: bd.refined_gap_chains(f, c, interval, x_mid, tol))
-    battery.ordering("refined_gap_chains_lower", lambda: [*refined()[0], 0.0])
-    battery.ordering("refined_gap_chains_upper", lambda: [*refined()[1], 0.0])
+    battery.orderings(
+        ("hh_gap_monotone_trapezoid", "hh_gap_monotone_midpoint"),
+        lambda: [[*pair, 0.0] for pair in bd.hh_gap_monotone(f, interval, x_mid, tol)],
+    )
+    battery.orderings(
+        ("refined_gap_chains_lower", "refined_gap_chains_upper"),
+        lambda: [[*pair, 0.0] for pair in bd.refined_gap_chains(f, c, interval, x_mid, tol)],
+    )
 
     # means: random positive pair, log-uniform in [0.1, 10]
     ma = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))

@@ -61,6 +61,7 @@ from convexcert.verify import (
 )
 
 from _generators import random_ast, random_smooth_source
+from _readme import readme_output
 
 E = math.e
 UNIT = Interval(0.0, 1.0)
@@ -292,8 +293,8 @@ def test_special_means_suite():
 
 def test_falsification_battery():
     """`verify --trials 1000 --seed 42 --tol 1e-10` finishes under 60 s
-    with zero failures and at most 1% inconclusive checks, and a rerun
-    produces byte-identical output."""
+    with zero failures and at most 1% inconclusive checks, a rerun
+    produces byte-identical output, and README prints that output."""
     argv = ["verify", "--trials", "1000", "--seed", "42", "--tol", "1e-10"]
     import io
     from contextlib import redirect_stdout
@@ -312,6 +313,7 @@ def test_falsification_battery():
     assert elapsed < 60.0
     out1, out2 = buf1.getvalue(), buf2.getvalue()
     assert out1 == out2
+    assert out1 == readme_output(*argv)
     report = json.loads(out1)
     total = report["passed"] + report["failed"] + report["inconclusive"]
     assert report["failed"] == 0

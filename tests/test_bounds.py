@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from convexcert import bounds
 from convexcert.bounds import (
     bisection_bounds,
     chord_gap_bounds,
@@ -125,6 +126,13 @@ class TestFejer:
         assert enc.lower == pytest.approx(8.0, abs=1e-12)
         assert enc.upper == pytest.approx(10.0, abs=1e-12)
         assert enclosure_contains(enc, 26.0 / 3.0, tol=1e-10)
+
+
+    def test_is_the_equal_node_vasic_lackovic(self):
+        g = evaluation_spec(PARABOLA_W)
+        enc = fejer(EXP, g, UNIT)
+        two_node = vasic_lackovic(EXP, g, NodeWeights(1.0, 1.0), UNIT, 0.5)
+        assert (enc.lower, enc.upper) == (two_node.lower, two_node.upper)
 
 
 class TestGapEnclosures:
@@ -315,6 +323,18 @@ class TestEndpointFunctionals:
         with pytest.raises(ParameterOutOfRange):
             h1_functional(SQ, evaluation_spec("1"), UNIT, 1.5)
 
+    @pytest.mark.parametrize(
+        "functional,rule,weight",
+        [(h1_functional, Rule.WEIGHTED_TRAPEZOID_GAP, "1 - x"),
+         (h2_functional, Rule.WEIGHTED_MIDPOINT_GAP, "x")],
+        ids=["h1", "h2"],
+    )
+    def test_is_the_weighted_gap_on_a_x(self, functional, rule, weight):
+        g = evaluation_spec(weight)
+        for x in (0.25, 0.6, 1.0):
+            expected = target_gap(rule, EXP, Interval(0.0, x), g=g).value
+            assert functional(EXP, g, UNIT, x) == expected
+
     def test_convexity_alone_does_not_give_monotonicity(self):
         # the documented boundary of the guarantee: f = -x is convex but
         # decreasing, and h1 = -x³/12 strictly decreases
@@ -348,6 +368,17 @@ class TestSubintervalMonotonicity:
         (t_ab, t_ax), (m_ab, m_ax) = hh_gap_monotone(EXP, self.IV2, 2.0)
         assert t_ax == pytest.approx(t_ab, abs=1e-10)
         assert m_ax == pytest.approx(m_ab, abs=1e-10)
+
+    def test_one_integral_per_interval(self, monkeypatch):
+        calls = []
+
+        def counting(f, interval, tol=1e-10):
+            calls.append(interval)
+            return integrate(f, interval, tol)
+
+        monkeypatch.setattr(bounds, "integrate", counting)
+        hh_gap_monotone(EXP, self.IV2, 1.0)
+        assert calls == [Interval(0.0, 1.0), self.IV2]
 
     def test_refined_chains_exp_frozen(self):
         band = CurvatureBounds(1.0, E * E)

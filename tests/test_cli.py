@@ -114,6 +114,37 @@ class TestBounds:
         ]
         assert all(c["contained"] for c in payload)
 
+    OFF_CENTRE = ("bounds", "--f", "exp(x)", "--a", "0", "--b", "1", "--p", "2", "--q", "1",
+                  "--y", "0.3")
+
+    def test_off_centre_window_weight_drops_only_the_window_rule(self, capsys):
+        # x(1 - x) is symmetric about 1/2, not about the barycentre 1/3
+        code, out, err = run_cli(capsys, *self.OFF_CENTRE, "--g", "x*(1 - x)")
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == ("note: vasic-lackovic skipped: weight 'x*(1.0 - x)' "
+                            "is not symmetric about 0.3333333333333333")
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "hermite-hadamard", "fejer", "weighted-trapezoid-gap", "weighted-midpoint-gap",
+            "midpoint-gap", "trapezoid-gap", "chord-gap", "symmetric-pair-gap",
+            "bisection-mean", "bisection-quarter",
+        ]
+
+    def test_off_centre_window_weight_fails_the_window_rule_alone(self, capsys):
+        code, out, err = run_cli(capsys, *self.OFF_CENTRE, "--g", "x*(1 - x)",
+                                 "--rule", "vasic-lackovic")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: weight 'x*(1.0 - x)' is not symmetric about 0.333")
+
+    def test_weight_symmetric_about_both_centres_keeps_every_rule(self, capsys):
+        code, out, _ = run_cli(capsys, *self.OFF_CENTRE, "--g", "1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload) == 11
+        assert payload[-1]["rule"] == "vasic-lackovic"
+
     def test_explicit_lambda_recorded(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -367,6 +398,16 @@ def test_steep_exponential_converges():
                       "--rule", "hh", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["oracle_converged"] is True
+
+
+def test_overflowing_integrand_returns():
+    # exp(1000 x) overflows to inf on part of [0, 1]; the oracle used to
+    # split those panels to the depth cap and never return
+    proc = run_module("bounds", "--f", "exp(1000*x)", "--a", "0", "--b", "1",
+                      "--rule", "hh", "--json")
+    assert proc.returncode in (0, 2)
+    cert = json.loads(proc.stdout)[0]
+    assert cert["oracle_converged"] is False
 
 
 def test_module_entry_point_smoke():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from convexcert import quadrature
 from convexcert.core import (
     Interval,
     Monotonicity,
@@ -11,7 +12,7 @@ from convexcert.core import (
     ParameterOutOfRange,
     QuadResult,
 )
-from convexcert.expr import evaluation_spec
+from convexcert.expr import evaluation_spec, function_spec
 from convexcert.quadrature import (
     MAX_DEPTH,
     check_monotone,
@@ -66,11 +67,25 @@ class TestIntegrate:
         r = integrate(math.exp, Interval(1.0, 1.0))
         assert r == QuadResult(0.0, 0.0, 0, True)
 
-    def test_depth_cap_reports_not_converged(self):
+    def test_depth_cap_reports_not_converged(self, monkeypatch):
         # the sqrt singularity at 0 needs far more than 3 halvings
-        r = integrate(math.sqrt, UNIT, max_depth=3)
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
+        r = integrate(math.sqrt, UNIT)
         assert not r.converged
         assert r.value == pytest.approx(2.0 / 3.0, abs=1e-6)
+
+    def test_overflowing_integrand_is_unconverged(self):
+        # exp(1000 t) overflows to inf beyond t ~ 0.71; no split can
+        # resolve an infinite panel, so it must not be split to the cap
+        r = integrate(function_spec("exp(1000*x)"), UNIT)
+        assert not r.converged
+        assert r.value == math.inf
+
+    def test_nan_integrand_is_accepted_at_once(self):
+        r = integrate(lambda t: math.nan, UNIT)
+        assert not r.converged
+        assert math.isnan(r.value)
+        assert r.evaluations == 8 * 15
 
     def test_step_function_never_converges(self):
         c = 1.0 / math.sqrt(2.0)
@@ -100,11 +115,6 @@ class TestIntegrate:
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ParameterOutOfRange):
             integrate(math.exp, UNIT, tol=tol)
-
-    @pytest.mark.parametrize("min_depth,max_depth", [(-1, 10), (11, 10), (5, 4)])
-    def test_rejects_bad_depths(self, min_depth, max_depth):
-        with pytest.raises(ParameterOutOfRange):
-            integrate(math.exp, UNIT, min_depth=min_depth, max_depth=max_depth)
 
     def test_default_depth_cap_is_generous(self):
         assert MAX_DEPTH == 50

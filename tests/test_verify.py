@@ -6,11 +6,21 @@ import math
 
 import pytest
 
-from convexcert.core import Interval, Monotonicity, ParameterOutOfRange, Provenance
+from convexcert import bounds
+from convexcert.core import (
+    Interval,
+    Monotonicity,
+    OracleInconclusive,
+    ParameterOutOfRange,
+    Provenance,
+)
 from convexcert.quadrature import check_monotone, check_symmetry
 from convexcert.verify import (
     CHECKS_PER_TRIAL,
     ConvexInstance,
+    FailureRecord,
+    TrialReport,
+    _Battery,
     falsify,
     random_convex_instance,
     random_monotone_weight,
@@ -178,6 +188,43 @@ class TestFalsify:
         assert payload["failures"] == []
         assert math.isfinite(payload["worst_violation"])
 
+    def test_json_lists_failures_in_field_order(self):
+        failure = FailureRecord(3, "fejer", "seed=1 family=exp", "target 1.0 outside (0.0, 0.5)")
+        report = TrialReport(7, 4, 170, 1, 9, 0.5, (failure,), {"fejer": 4})
+        assert report.to_json() == json.dumps(
+            {
+                "seed": 7,
+                "trials": 4,
+                "passed": 170,
+                "failed": 1,
+                "inconclusive": 9,
+                "worst_violation": 0.5,
+                "failures": [
+                    {
+                        "trial": 3,
+                        "operation": "fejer",
+                        "recipe": "seed=1 family=exp",
+                        "details": "target 1.0 outside (0.0, 0.5)",
+                    }
+                ],
+            },
+            indent=2,
+        )
+
+    def test_one_trial_calls_hh_gap_monotone_once(self, monkeypatch):
+        calls = []
+        original = bounds.hh_gap_monotone
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds, "hh_gap_monotone", counting)
+        report = falsify(1, 3)
+        assert len(calls) == 1
+        assert report.op_counts["hh_gap_monotone_trapezoid"] == 1
+        assert report.op_counts["hh_gap_monotone_midpoint"] == 1
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             falsify(0, 1)
@@ -190,3 +237,25 @@ class TestFalsify:
     def test_non_finite_tolerance_rejected(self, tol):
         with pytest.raises(ParameterOutOfRange):
             falsify(1, 1, tol=tol)
+
+
+class TestBattery:
+    LABELS = ("chain_lower", "chain_upper")
+
+    def test_one_check_per_chain(self):
+        battery = _Battery(slack=0.0)
+        battery.orderings(self.LABELS, lambda: [[2.0, 1.0, 0.0], [1.0, 2.0]])
+        assert (battery.passed, battery.failed) == (1, 1)
+        assert battery.op_counts == {"chain_lower": 1, "chain_upper": 1}
+        assert battery.failures[0].operation == "chain_upper"
+        assert battery.failures[0].details == "chain not ordered: [1.0, 2.0]"
+
+    def test_an_error_counts_for_every_chain(self):
+        battery = _Battery(slack=0.0)
+
+        def unconverged():
+            raise OracleInconclusive("oracle did not converge", 0.0)
+
+        battery.orderings(self.LABELS, unconverged)
+        assert battery.inconclusive == 2
+        assert battery.op_counts == {"chain_lower": 1, "chain_upper": 1}
