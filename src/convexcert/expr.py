@@ -12,18 +12,20 @@ Precedence is the usual one — ``^`` binds tightest and associates to
 the right, then unary minus, then ``*``/``/``, then ``+``/``-`` — so
 ``-x^2`` means ``-(x^2)`` and ``2^3^2`` means ``2^(3^2)``.
 
-The module provides parsing, evaluation (both a careful interpreter
-with per-node domain errors and a compiled fast path), symbolic
-differentiation with light simplification, a printer whose output
-re-parses to a structurally identical tree, and a curvature-range
-estimator for second derivatives.  ``abs`` is parseable (weights may
-need it) but rejected by :func:`differentiate` — weights need not be
+The module provides parsing, evaluation (a compiled fast path, and one
+AST walker with per-node domain errors that runs on floats or on
+intervals through an op table), symbolic differentiation with light
+simplification, a printer whose output re-parses to a structurally
+identical tree, and a curvature band for second derivatives from the
+interval walker.  ``abs`` is parseable (weights may need it) but
+rejected by :func:`differentiate` — weights need not be
 differentiable, integrands do.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
@@ -310,49 +312,117 @@ def to_text(node: Node) -> str:
 # --------------------------------------------------------------------------
 
 
+def _walk(node: Node, x, ops: dict):
+    """Evaluate the AST at ``x`` in the arithmetic given by the op table ``ops``.
+
+    A math failure of an op becomes a :class:`DomainError` carrying the
+    innermost node whose op failed.
+    """
+    try:
+        if isinstance(node, Binary):
+            return ops[node.op](_walk(node.left, x, ops), _walk(node.right, x, ops))
+        if isinstance(node, Unary):
+            return ops[node.op](_walk(node.arg, x, ops))
+        if isinstance(node, Const):
+            return ops["const"](node.value)
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"{to_text(node)}: {exc}", node) from exc
+    return x
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _pow(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except OverflowError:  # saturate, keeping the sign of an odd power
+        return -math.inf if a < 0.0 and b % 2.0 == 1.0 else math.inf
+
+
+_FLOAT = {
+    "const": float,
+    "neg": operator.neg,
+    "exp": _exp,
+    "log": math.log,
+    "abs": abs,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "pow": _pow,
+}
+
+
 def evaluate(node: Node, x: float) -> float:
     """Interpret the AST at ``x`` with per-node domain checking.
+
+    ``exp`` and ``pow`` saturate to ``±inf`` on overflow, node by node,
+    so an overflow that a later op absorbs (``1/exp(800*x)``) does not
+    make the whole value infinite.
 
     Raises:
         DomainError: carrying the offending sub-node, for ``log`` of a
             nonpositive value, division by zero, or a power that leaves
             the reals.
     """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Unary):
-        v = evaluate(node.arg, x)
-        if node.op == "neg":
-            return -v
-        if node.op == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-        if node.op == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of nonpositive value {v}", node)
-            return math.log(v)
-        return abs(v)
-    assert isinstance(node, Binary)
-    a = evaluate(node.left, x)
-    b = evaluate(node.right, x)
-    if node.op == "add":
-        return a + b
-    if node.op == "sub":
-        return a - b
-    if node.op == "mul":
-        return a * b
-    if node.op == "div":
-        if b == 0.0:
-            raise DomainError("division by zero", node)
-        return a / b
-    try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"pow({a}, {b}) left the real domain", node) from exc
+    return _walk(node, x, _FLOAT)
+
+
+# Interval arithmetic on (lo, hi) pairs, rounded to nearest: each end is
+# the float op on ends of the operands, and an end that is not finite
+# raises, so no interval ever holds an infinity or a NaN.  There is no
+# abs: it runs on second derivatives, which never contain one.
+
+
+def _hull(*ends: float) -> tuple[float, float]:
+    lo, hi = min(ends), max(ends)
+    if -math.inf < lo <= hi < math.inf:  # false for a NaN, which only a NaN constant brings
+        return lo, hi
+    raise OverflowError("interval left the finite range")
+
+
+def _interval_pow(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    c = b[0]
+    if b[1] != c:
+        raise ValueError("interval power needs a constant exponent")
+    ends = _pow(a[0], c), _pow(a[1], c)
+    if a[0] < 0.0 < a[1]:  # an integer power of a base that crosses 0
+        if c < 0.0:
+            raise ZeroDivisionError("negative power of an interval containing 0")
+        if c > 0.0 and c % 2.0 == 0.0:
+            return _hull(0.0, *ends)
+    return _hull(*ends)
+
+
+def _interval_div(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    if b[0] <= 0.0 <= b[1]:
+        raise ZeroDivisionError("division by an interval containing 0")
+    return _hull(a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+
+
+_INTERVAL = {
+    "const": lambda v: _hull(v),
+    "neg": lambda a: _hull(-a[0], -a[1]),
+    "exp": lambda a: _hull(_exp(a[0]), _exp(a[1])),
+    "log": lambda a: _hull(math.log(a[0]), math.log(a[1])),
+    "add": lambda a, b: _hull(a[0] + b[0], a[1] + b[1]),
+    "sub": lambda a, b: _hull(a[0] - b[1], a[1] - b[0]),
+    "mul": lambda a, b: _hull(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]),
+    "div": _interval_div,
+    "pow": _interval_pow,
+}
+
+# counts the occurrences of x
+_OCCURRENCES = {
+    "const": lambda v: 0,
+    **dict.fromkeys(UNARY_OPS, lambda n: n),
+    **dict.fromkeys(BINARY_OPS, operator.add),
+}
 
 
 def _compile(node: Node) -> Callable[[float], float]:
@@ -385,6 +455,8 @@ def _compile(node: Node) -> Callable[[float], float]:
         "_log": math.log,
         "_abs": abs,
         "_pow": math.pow,
+        "inf": math.inf,  # repr of a constant folded past the float range
+        "nan": math.nan,
         "__builtins__": {},
     }
     return eval(f"lambda x: {src(node)}", env)  # noqa: S307 - our own AST
@@ -557,10 +629,10 @@ class FunctionSpec:
             return self._fn(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"{self.text} undefined at x={x}: {exc}") from exc
-        except OverflowError:
-            return math.inf
+        except OverflowError:  # re-run the point, saturating only the nodes that overflow
+            return evaluate(self.ast, x)
 
-    def _call_node(self, fn: Callable[[float], float] | None, what: str, x: float) -> float:
+    def _call_node(self, fn: Callable[[float], float] | None, node: Node | None, what: str, x: float) -> float:
         if fn is None:
             raise NonSmoothExpression(f"{what} unavailable for {self.text!r}")
         try:
@@ -568,13 +640,13 @@ class FunctionSpec:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"{what} of {self.text} undefined at x={x}: {exc}") from exc
         except OverflowError:
-            return math.inf
+            return evaluate(node, x)
 
     def derivative(self, x: float) -> float:
-        return self._call_node(self._d1fn, "first derivative", x)
+        return self._call_node(self._d1fn, self.d1, "first derivative", x)
 
     def second_derivative(self, x: float) -> float:
-        return self._call_node(self._d2fn, "second derivative", x)
+        return self._call_node(self._d2fn, self.d2, "second derivative", x)
 
 
 def function_spec(source: str | Node) -> FunctionSpec:
@@ -603,83 +675,6 @@ _WIDEN = 1e-9
 _NODES = 33  # Chebyshev nodes of the heuristic band
 
 
-def _is_affine(node: Node) -> bool:
-    if isinstance(node, (Const, Var)):
-        return True
-    if isinstance(node, Unary) and node.op == "neg":
-        return _is_affine(node.arg)
-    if isinstance(node, Binary):
-        if node.op in ("add", "sub"):
-            return _is_affine(node.left) and _is_affine(node.right)
-        if node.op == "mul":
-            return (isinstance(node.left, Const) and _is_affine(node.right)) or (
-                isinstance(node.right, Const) and _is_affine(node.left)
-            )
-        if node.op == "div":
-            return isinstance(node.right, Const) and _is_affine(node.left)
-    return False
-
-
-def _sign_definite(node: Node, interval: Interval) -> bool:
-    """For an affine expression: does it keep one strict sign on I?"""
-    try:
-        va, vb = evaluate(node, interval.a), evaluate(node, interval.b)
-    except DomainError:
-        return False
-    return va * vb > 0.0
-
-
-def _endpoint_monotone(node: Node, interval: Interval) -> bool:
-    """True when the node is structurally a monotone function on I.
-
-    Recognised shapes: constants, affine maps, ``c * core``,
-    ``core / c``, ``c / core`` and ``const + core`` wrappers around
-    ``exp(affine)`` or ``(affine)^const`` with a sign-definite base.
-    This covers the second derivatives of quadratics, exponentials,
-    ``+-log`` and power functions.
-    """
-    if isinstance(node, Const):
-        return True
-    if _is_affine(node):
-        return True
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return _endpoint_monotone(node.arg, interval)
-        if node.op == "exp":
-            return _is_affine(node.arg)
-        return False
-    if isinstance(node, Binary):
-        if node.op in ("add", "sub"):
-            if isinstance(node.left, Const):
-                return _endpoint_monotone(node.right, interval)
-            if isinstance(node.right, Const):
-                return _endpoint_monotone(node.left, interval)
-            return False
-        if node.op == "mul":
-            if isinstance(node.left, Const):
-                return _endpoint_monotone(node.right, interval)
-            if isinstance(node.right, Const):
-                return _endpoint_monotone(node.left, interval)
-            return False
-        if node.op == "div":
-            if isinstance(node.right, Const):
-                return _endpoint_monotone(node.left, interval)
-            if isinstance(node.left, Const):
-                # c / core is monotone when core is monotone and keeps
-                # one sign; restrict to the shapes we can certify.
-                inner = node.right
-                if _is_affine(inner):
-                    return _sign_definite(inner, interval)
-                if isinstance(inner, Binary) and inner.op == "pow" and isinstance(inner.right, Const):
-                    return _is_affine(inner.left) and _sign_definite(inner.left, interval)
-                if isinstance(inner, Unary) and inner.op == "exp":
-                    return _is_affine(inner.arg)
-            return False
-        if node.op == "pow" and isinstance(node.right, Const):
-            return _is_affine(node.left) and _sign_definite(node.left, interval)
-    return False
-
-
 def _chebyshev_grid(interval: Interval, samples: int) -> list[float]:
     a, b = interval.a, interval.b
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -688,25 +683,31 @@ def _chebyshev_grid(interval: Interval, samples: int) -> list[float]:
 
 
 def curvature_range(f: FunctionSpec, interval: Interval) -> CurvatureBounds:
-    """Estimate a band m <= f'' <= M on the interval.
+    """Bound f'' on the interval: a band m <= f'' <= M.
 
-    When f'' has a recognised endpoint-monotone shape the band is the
-    pair of endpoint values and is tagged ``EXACT``.  Otherwise the
-    band is the min/max of f'' over 33 Chebyshev nodes plus the endpoints,
-    widened by ``1e-9 * (1 + |value|)`` on each side, and tagged
+    The band is the interval evaluation of f'' over I, tagged ``EXACT``
+    when that enclosure is the range itself: when x occurs at most once
+    in f'' (Moore's single-use theorem; this covers interior extrema
+    such as ``(x - s)^4``), or when its ends are f''(a) and f''(b)
+    (co-monotone sums).  Arithmetic is rounded to nearest.  Otherwise —
+    overestimation, a domain limit such as ``log``, a division or a
+    power across 0, or a result that is not finite — the band is the
+    min/max of f'' over 33 Chebyshev nodes plus the endpoints, widened
+    by ``1e-9 * (1 + |value|)`` on each side, and tagged
     ``SAMPLED_HEURISTIC`` — a usable default, not a certificate.
     """
     if f.d2 is None:
         raise NonSmoothExpression(f"curvature_range needs a second derivative for {f.text!r}")
+    a, b = interval.a, interval.b
+    try:
+        m, M = _walk(f.d2, (a, b), _INTERVAL)
+    except DomainError:
+        pass
+    else:
+        if _walk(f.d2, 1, _OCCURRENCES) <= 1 or _hull(f.second_derivative(a), f.second_derivative(b)) == (m, M):
+            return CurvatureBounds(m, M, Provenance.EXACT)
     values = [f.second_derivative(x) for x in _chebyshev_grid(interval, _NODES)]
     lo, hi = min(values), max(values)
-    if _endpoint_monotone(f.d2, interval):
-        ea, eb = f.second_derivative(interval.a), f.second_derivative(interval.b)
-        m, M = min(ea, eb), max(ea, eb)
-        # defensive: a grid value outside the endpoint band means the
-        # shape analysis was wrong — fall back to the heuristic path
-        if m <= lo and hi <= M:
-            return CurvatureBounds(m, M, Provenance.EXACT)
     return CurvatureBounds(
         lo - _WIDEN * (1.0 + abs(lo)),
         hi + _WIDEN * (1.0 + abs(hi)),

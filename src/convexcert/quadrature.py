@@ -119,7 +119,8 @@ def integrate(f: Callable[[float], float], interval: Interval, tol: float = 1e-1
         QuadResult with the sum of the accepted panels' K15 values, the
         sum of their ``|K15 - G7|``, the number of function evaluations
         (15 per panel, split or accepted), and a convergence flag which
-        is False iff some panel hit the depth cap or was not finite.
+        is False iff some panel hit the depth cap or was not finite, or
+        the sum left the float range (the value is then ``inf``).
     """
     check_tolerance(tol)
     a, b = interval.a, interval.b
@@ -134,14 +135,13 @@ def integrate(f: Callable[[float], float], interval: Interval, tol: float = 1e-1
     values: list[float] = []
     errors: list[float] = []
     converged = True
-    nonfinite = False
     evals = 0
     while stack:
         lo, hi, depth = stack.pop()
         value, err, mass = _kronrod(f, lo, hi)
         evals += len(_NODES)
         if not math.isfinite(value):
-            converged, nonfinite = False, True
+            converged = False
         elif not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * mass):
             if depth < MAX_DEPTH:
                 mid = 0.5 * (lo + hi)
@@ -151,9 +151,10 @@ def integrate(f: Callable[[float], float], interval: Interval, tol: float = 1e-1
             converged = False
         values.append(value)
         errors.append(err)
-    # fsum refuses inf + (-inf); a non-finite total needs no compensation
-    total = sum(values) if nonfinite else math.fsum(values)
-    return QuadResult(total, math.fsum(errors), evals, converged)
+    try:
+        return QuadResult(math.fsum(values), math.fsum(errors), evals, converged)
+    except (OverflowError, ValueError):  # a sum beyond the float range, or inf + (-inf)
+        return QuadResult(sum(values), sum(errors), evals, False)
 
 
 def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:

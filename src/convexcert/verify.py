@@ -28,12 +28,11 @@ from .core import (
     NodeWeights,
     OracleInconclusive,
     ParameterOutOfRange,
-    Provenance,
     QuadResult,
     WeightSpec,
     check_tolerance,
 )
-from .expr import Binary, Const, FunctionSpec, Node, Unary, Var, function_spec, evaluation_spec
+from .expr import Binary, Const, FunctionSpec, Node, Unary, Var, curvature_range, evaluation_spec, function_spec
 from .quadrature import classify_weight
 
 __all__ = [
@@ -84,9 +83,8 @@ def random_convex_instance(seed: int) -> ConvexInstance:
 
     with c1, c2, c4 >= 0, on an interval of width in [0.1, 5].  Every
     summand of f'' = 2c1 + c2 c3² e^(c3 x) + c4/(x+s)² is kept monotone
-    in a common direction (mixed instances force c3 <= 0), so the exact
-    band m, M comes from evaluating f'' at the two endpoints — no
-    heuristic curvature anywhere in the harness.  |c3·x| is capped so
+    in a common direction (mixed instances force c3 <= 0), so the band
+    from :func:`curvature_range`, the one users get, is ``EXACT``.  |c3·x| is capped so
     integrands stay well-conditioned for the absolute-tolerance oracle.
     """
     rng = random.Random(seed)
@@ -126,10 +124,8 @@ def random_convex_instance(seed: int) -> ConvexInstance:
         ast = Binary("add", ast, t)
     f = function_spec(ast)
 
-    d2a, d2b = f.second_derivative(a), f.second_derivative(b)
-    curvature = CurvatureBounds(min(d2a, d2b), max(d2a, d2b), Provenance.EXACT)
     recipe = f"seed={seed} family={family} interval=[{a!r}, {b!r}] f={f.text}"
-    return ConvexInstance(f, interval, curvature, recipe)
+    return ConvexInstance(f, interval, curvature_range(f, interval), recipe)
 
 
 def _poly_node(coeffs: list[float], u: Node) -> Node:

@@ -410,6 +410,21 @@ def test_overflowing_integrand_returns():
     assert cert["oracle_converged"] is False
 
 
+def test_overflow_absorbed_by_a_later_node():
+    # exp(800) overflows, but 1/exp(800*x) is 0 there, not inf
+    proc = run_module("bounds", "--f", "1/exp(800*x) + x^2", "--a", "0", "--b", "1", "--rule", "hh")
+    assert proc.returncode == 0
+    assert proc.stdout == "hermite-hadamard: enclosure=(0.25, 1) oracle=0.334583333333 -> contained\n"
+
+
+def test_integral_beyond_the_float_range_has_no_traceback():
+    # every panel of 5e307 + x^2 on [0, 16] is finite, their sum is not
+    proc = run_module("bounds", "--f", "5e307 + x^2", "--a", "0", "--b", "16", "--rule", "hh")
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+    assert "oracle=inf (oracle unconverged)" in proc.stdout
+
+
 def test_module_entry_point_smoke():
     proc = run_module("bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "hh", "--json")
     assert proc.returncode == 0

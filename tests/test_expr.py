@@ -5,12 +5,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexcert.core import (
     DomainError,
     Interval,
     NonConstantExponent,
     NonSmoothExpression,
+    ParameterOutOfRange,
     ParseError,
     Provenance,
 )
@@ -143,6 +146,21 @@ class TestEvaluate:
     def test_exp_overflow_saturates(self):
         assert evaluate(parse("exp(x)"), 1e6) == math.inf
 
+    def test_pow_overflow_saturates_with_the_sign_of_the_power(self):
+        assert evaluate(parse("x^3"), -1e200) == -math.inf
+        assert evaluate(parse("x^2"), -1e200) == math.inf
+
+    def test_domain_error_carries_the_offending_node(self):
+        with pytest.raises(DomainError) as info:
+            evaluate(parse("1 + log(x - 2)"), 1.0)
+        assert info.value.node == parse("log(x - 2)")
+
+    def test_overflow_absorbed_by_a_later_node(self):
+        # the compiled form overflows in exp(800); only that node saturates
+        assert evaluation_spec("1/exp(800*x)")(1.0) == 0.0
+        assert evaluation_spec("-exp(1000*x)")(1.0) == -math.inf
+        assert function_spec("-exp(1000*x)").second_derivative(1.0) == -math.inf
+
     def test_compiled_matches_interpreter(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -151,6 +169,9 @@ class TestEvaluate:
             f = evaluation_spec(ast)
             for x in (0.6, 0.93, 1.17, 1.4):
                 assert f(x) == pytest.approx(evaluate(simplify(ast), x), rel=1e-12, abs=1e-12)
+
+    def test_constant_folded_past_the_float_range_compiles(self):
+        assert evaluation_spec("1e400*x")(1.0) == math.inf
 
     def test_spec_call_maps_math_errors(self):
         f = evaluation_spec("log(x - 2)")
@@ -288,12 +309,71 @@ class TestCurvatureRange:
         assert c.m >= math.e + 1.0 - 1e-6  # widening is tiny, not sloppy
 
     def test_interior_extremum_band_contains_range(self):
-        # f = x^4, f'' = 12 x^2 has an interior minimum on [-1, 1];
-        # the sampled band must cover [0, 12].
+        # f = x^4, f'' = 12 x^2 has an interior minimum on [-1, 1]; x
+        # occurs once in f'', so the interval band is the exact range
         c = curvature_range(function_spec("x^4"), Interval(-1.0, 1.0))
         assert c.m <= 0.0 and c.M >= 12.0
+        assert c.provenance is Provenance.EXACT
+
+    def test_quartic_interior_minimum_is_exact(self):
+        # the sampled band used to report m = 0.0397 although f''(0) = 0
+        c = curvature_range(function_spec("x^4"), Interval(-1.0, 2.0))
+        assert (c.m, c.M, c.provenance) == (0.0, 48.0, Provenance.EXACT)
+
+    def test_co_monotone_sum_is_exact(self):
+        # f'' = 2 + exp(-x) + 1/(x + 1)^2: x occurs twice, but both
+        # summands decrease, so the interval band ends at f''(b) and f''(a)
+        f = function_spec("x^2 + exp(-x) - log(x + 1)")
+        c = curvature_range(f, Interval(0.0, 1.0))
+        assert c.provenance is Provenance.EXACT
+        assert (c.m, c.M) == (f.second_derivative(1.0), f.second_derivative(0.0))
+
+    def test_pole_inside_the_interval_is_not_exact(self):
+        # f'' = 6/(x - 0.3)^4 has a pole the grid does not hit
+        c = curvature_range(function_spec("1/(x - 0.3)^2"), Interval(0.0, 1.0))
         assert c.provenance is Provenance.SAMPLED_HEURISTIC
+
+    def test_overflowing_band_is_refused(self):
+        # the interval band is not finite, and neither is the sampled one
+        with pytest.raises(ParameterOutOfRange):
+            curvature_range(function_spec("exp(1000*x)"), Interval(0.0, 1.0))
 
     def test_weight_spec_rejected(self):
         with pytest.raises(NonSmoothExpression):
             curvature_range(evaluation_spec("x"), Interval(0.0, 1.0))
+
+
+# ASTs of the differentiable grammar (no abs), with constant exponents
+_leaves = st.one_of(st.just(Var()), st.floats(-4.0, 4.0).map(Const))
+_exponents = st.sampled_from((-2.0, -1.0, 0.5, 1.5, 2.0, 3.0, 4.0)).map(Const)
+_smooth_asts = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(("neg", "exp", "log")), sub),
+        st.builds(Binary, st.sampled_from(("add", "sub", "mul", "div")), sub, sub),
+        st.builds(Binary, st.just("pow"), sub, _exponents),
+    ),
+    max_leaves=8,
+)
+
+
+@given(
+    ast=_smooth_asts,
+    a=st.floats(-3.0, 3.0),
+    width=st.floats(1e-3, 4.0),
+    ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+@settings(max_examples=400, deadline=None)
+def test_exact_band_contains_f2_everywhere(ast, a, width, ts):
+    interval = Interval(a, a + width)
+    f = function_spec(ast)
+    try:
+        band = curvature_range(f, interval)
+    except (DomainError, ParameterOutOfRange):  # the sampled fallback left f's domain or overflowed
+        return
+    if band.provenance is not Provenance.EXACT:
+        return
+    slack = 1e-12 * (1.0 + abs(band.m) + abs(band.M))
+    for t in [0.0, 1.0, *ts]:
+        v = f.second_derivative(min(a + t * width, interval.b))
+        assert band.m - slack <= v <= band.M + slack

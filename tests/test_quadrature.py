@@ -81,6 +81,12 @@ class TestIntegrate:
         assert not r.converged
         assert r.value == math.inf
 
+    def test_sum_beyond_the_float_range_is_unconverged(self):
+        # each of the 8 panels is 1e308, their sum is not a float
+        r = integrate(lambda t: 5e307, Interval(0.0, 16.0))
+        assert not r.converged
+        assert r.value == math.inf
+
     def test_nan_integrand_is_accepted_at_once(self):
         r = integrate(lambda t: math.nan, UNIT)
         assert not r.converged
