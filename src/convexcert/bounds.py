@@ -48,14 +48,13 @@ from .core import (
     SymmetryViolated,
     WeightSpec,
 )
-from .expr import FunctionSpec
+from .expr import FunctionSpec, require_convex
 from .quadrature import (
     classify_weight,
     integrate,
     moment_ab,
     moment_center,
     monotone_profile,
-    require_convex,
 )
 
 __all__ = [
@@ -174,7 +173,7 @@ def hermite_hadamard(f: FunctionSpec, interval: Interval) -> Enclosure:
     a convex f.
 
     Raises:
-        ConvexityViolated: if sampled f'' dips below -1e-9.
+        ConvexityViolated: unless f'' >= -1e-9 on the interval.
         ParameterOutOfRange: for degenerate intervals (the integral
             mean needs a < b).
     """

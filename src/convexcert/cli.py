@@ -243,20 +243,17 @@ def cmd_young(args: argparse.Namespace) -> int:
 
 # the classical means in increasing order, as the ordering chain checks them
 _MEAN_ORDER = ("harmonic", "geometric", "logarithmic", "identric", "arithmetic")
+_PARAMETRIC = (mn.MeanKind.POWER, mn.MeanKind.INTEGRAL_POWER)
 
 
 def cmd_means(args: argparse.Namespace) -> int:
     a, b = args.a, args.b
-    means = {
-        "arithmetic": mn.arithmetic_mean(a, b),
-        "geometric": mn.geometric_mean(a, b),
-        "harmonic": mn.harmonic_mean(a, b),
-        "logarithmic": mn.logarithmic_mean(a, b),
-        "identric": mn.identric_mean(a, b),
-    }
-    if args.p is not None:
-        means[f"power(p={_FMT.format(args.p)})"] = mn.power_mean(args.p, a, b)
-        means[f"integral-power(p={_FMT.format(args.p)})"] = mn.integral_power_mean(args.p, a, b)
+    means = {}
+    for kind in mn.MeanKind:  # the classical means, then the parametric ones
+        if kind not in _PARAMETRIC:
+            means[kind.value] = mn.mean(kind, a, b).value
+        elif args.p is not None:
+            means[f"{kind.value}(p={_FMT.format(args.p)})"] = mn.mean(kind, a, b, args.p).value
     ordering = [means[name] for name in _MEAN_ORDER]
     slack = 1e-12 * max(1.0, max(ordering))
     ordering_ok = all(u <= v + slack for u, v in zip(ordering, ordering[1:]))

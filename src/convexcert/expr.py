@@ -16,10 +16,10 @@ The module provides parsing, evaluation (a compiled fast path, and one
 AST walker with per-node domain errors that runs on floats or on
 intervals through an op table), symbolic differentiation with light
 simplification, a printer whose output re-parses to a structurally
-identical tree, and a curvature band for second derivatives from the
-interval walker.  ``abs`` is parseable (weights may need it) but
-rejected by :func:`differentiate` — weights need not be
-differentiable, integrands do.
+identical tree, and one analysis of f'' on an interval that feeds both
+the curvature band and the convexity guard.  ``abs`` is parseable
+(weights may need it) but rejected by :func:`differentiate` — weights
+need not be differentiable, integrands do.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
 from .core import (
+    ConvexityViolated,
     CurvatureBounds,
     DomainError,
     Interval,
@@ -54,6 +55,7 @@ __all__ = [
     "function_spec",
     "evaluation_spec",
     "curvature_range",
+    "require_convex",
 ]
 
 
@@ -682,6 +684,22 @@ def _chebyshev_grid(interval: Interval, samples: int) -> list[float]:
     return [a, *nodes, b]
 
 
+def _f2_range(f: FunctionSpec, interval: Interval, what: str) -> tuple[float, float, Provenance]:
+    """f''s range on the interval before widening, and its provenance (see :func:`curvature_range`)."""
+    if f.d2 is None:
+        raise NonSmoothExpression(f"{what} needs a second derivative for {f.text!r}")
+    a, b = interval.a, interval.b
+    try:
+        m, M = _walk(f.d2, (a, b), _INTERVAL)
+    except DomainError:
+        pass
+    else:
+        if _walk(f.d2, 1, _OCCURRENCES) <= 1 or _hull(f.second_derivative(a), f.second_derivative(b)) == (m, M):
+            return m, M, Provenance.EXACT
+    values = [v for v in map(f.second_derivative, _chebyshev_grid(interval, _NODES)) if not math.isnan(v)]
+    return min(values, default=math.nan), max(values, default=math.nan), Provenance.SAMPLED_HEURISTIC
+
+
 def curvature_range(f: FunctionSpec, interval: Interval) -> CurvatureBounds:
     """Bound f'' on the interval: a band m <= f'' <= M.
 
@@ -692,24 +710,23 @@ def curvature_range(f: FunctionSpec, interval: Interval) -> CurvatureBounds:
     (co-monotone sums).  Arithmetic is rounded to nearest.  Otherwise —
     overestimation, a domain limit such as ``log``, a division or a
     power across 0, or a result that is not finite — the band is the
-    min/max of f'' over 33 Chebyshev nodes plus the endpoints, widened
-    by ``1e-9 * (1 + |value|)`` on each side, and tagged
-    ``SAMPLED_HEURISTIC`` — a usable default, not a certificate.
+    min/max of f'' over 33 Chebyshev nodes plus the endpoints (NaN values
+    skipped), widened by ``1e-9 * (1 + |value|)`` on each side, and
+    tagged ``SAMPLED_HEURISTIC`` — a usable default, not a certificate.
     """
-    if f.d2 is None:
-        raise NonSmoothExpression(f"curvature_range needs a second derivative for {f.text!r}")
-    a, b = interval.a, interval.b
-    try:
-        m, M = _walk(f.d2, (a, b), _INTERVAL)
-    except DomainError:
-        pass
-    else:
-        if _walk(f.d2, 1, _OCCURRENCES) <= 1 or _hull(f.second_derivative(a), f.second_derivative(b)) == (m, M):
-            return CurvatureBounds(m, M, Provenance.EXACT)
-    values = [f.second_derivative(x) for x in _chebyshev_grid(interval, _NODES)]
-    lo, hi = min(values), max(values)
-    return CurvatureBounds(
-        lo - _WIDEN * (1.0 + abs(lo)),
-        hi + _WIDEN * (1.0 + abs(hi)),
-        Provenance.SAMPLED_HEURISTIC,
-    )
+    lo, hi, provenance = _f2_range(f, interval, "curvature_range")
+    if provenance is Provenance.EXACT:
+        return CurvatureBounds(lo, hi, provenance)
+    return CurvatureBounds(lo - _WIDEN * (1.0 + abs(lo)), hi + _WIDEN * (1.0 + abs(hi)), provenance)
+
+
+def require_convex(f: FunctionSpec, interval: Interval) -> None:
+    """Convexity guard: ``ConvexityViolated`` unless the lower end of f''s range,
+    as :func:`curvature_range` finds it before widening, is at least -1e-9.
+
+    So convexity is proved where that band is ``EXACT``.  A NaN lower
+    end is refused; an infinite upper end passes.
+    """
+    lo = _f2_range(f, interval, "convexity check")[0]
+    if not lo >= -1e-9:
+        raise ConvexityViolated(f"f'' reaches {lo} on [{interval.a}, {interval.b}] for f = {f.text}")

@@ -133,6 +133,10 @@ def integral_power_mean(p: float, a: float, b: float) -> float:
 
     Continuity limits: the logarithmic mean at p = -1, the identric
     mean at p = 0, and the common value a at a = b.
+
+    The quotient is min(a, b)^p · expm1(u)/((p+1)·t), with t = |b - a|/min(a, b)
+    and u = (p+1)·log1p(t), so close operands do not cancel; only where
+    expm1(u) would overflow (|u| >= 700) is it taken as written.
     """
     _require_positive(a, b)
     if not math.isfinite(p):
@@ -143,6 +147,10 @@ def integral_power_mean(p: float, a: float, b: float) -> float:
         return identric_mean(a, b)
     if abs(p + 1.0) < _LIMIT_EPS:
         return logarithmic_mean(a, b)
+    t = abs(b - a) / min(a, b)
+    u = (p + 1.0) * math.log1p(t)
+    if abs(u) < 700.0:
+        return min(a, b) * (math.expm1(u) / ((p + 1.0) * t)) ** (1.0 / p)
     core = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
     return core ** (1.0 / p)
 
@@ -246,7 +254,7 @@ def identric_ratio_check(a: float, b: float, x: float) -> tuple[float, float]:
 
 
 def _young_normalise(a: float, b: float, lam: float) -> tuple[float, float, float]:
-    """Order the operands: return (alpha, beta, weight of alpha)."""
+    """Check the operands and λ, then order them: return (alpha, beta, weight of alpha)."""
     _require_positive(a, b)
     if not (0.0 <= lam <= 1.0):
         raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {lam}")
@@ -319,9 +327,7 @@ def young_ratio_target(a: float, b: float, lam: float) -> float:
     Exact (1.0) at the degenerate corners a = b and λ in {0, 1}, where
     the enclosure collapses to a point.
     """
-    _require_positive(a, b)
-    if not (0.0 <= lam <= 1.0):
-        raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {lam}")
+    _young_normalise(a, b, lam)
     if a == b:
         return 1.0
     num = lam * a + (1.0 - lam) * b
@@ -334,9 +340,7 @@ def young_difference_target(a: float, b: float, lam: float) -> float:
 
     Exact (0.0) at the degenerate corners a = b and λ in {0, 1}.
     """
-    _require_positive(a, b)
-    if not (0.0 <= lam <= 1.0):
-        raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {lam}")
+    _young_normalise(a, b, lam)
     if a == b:
         return 0.0
     return lam * a + (1.0 - lam) * b - math.pow(a, lam) * math.pow(b, 1.0 - lam)

@@ -1,4 +1,4 @@
-"""Numerical oracle (adaptive Gauss–Kronrod quadrature) and sampled hypothesis checks.
+"""Numerical oracle (adaptive Gauss–Kronrod quadrature) and sampled weight checks.
 
 The integrator is the package's only source of "true" integral values.
 It is the 7-point Gauss / 15-point Kronrod pair of QUADPACK's ``qk15``
@@ -19,10 +19,10 @@ as inconclusive rather than failed).  A panel whose value is not
 finite (an integrand that overflows or returns NaN) is accepted
 unconverged at once, since no split can resolve it.
 
-Every hypothesis check — f'' >= 0, and a weight's sign, ``[0, 1]``
-range, symmetry and monotonicity — is sampled, not certified: it reads
-one grid of 101 uniform points with a slack of 1e-9, and steps within
-1e-12 count as ties in the monotonicity scan.
+Every weight check — sign, ``[0, 1]`` range, symmetry and
+monotonicity — is sampled, not certified: it reads one grid of 101
+uniform points with a slack of 1e-9, and steps within 1e-12 count as
+ties in the monotonicity scan.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ from collections.abc import Callable, Iterable
 from operator import mul
 
 from .core import (
-    ConvexityViolated,
     Interval,
     Monotonicity,
     NegativeWeight,
-    NonSmoothExpression,
     QuadResult,
     WeightSpec,
     check_tolerance,
@@ -52,7 +50,6 @@ __all__ = [
     "check_monotone",
     "monotone_profile",
     "classify_weight",
-    "require_convex",
     "MAX_DEPTH",
 ]
 
@@ -94,7 +91,7 @@ _G7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
 # panel is below what any further split can resolve
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
-# grid size and slack of every sampled check
+# grid size and slack of every sampled weight check
 _SAMPLES = 101
 _SLACK = 1e-9
 
@@ -260,17 +257,3 @@ def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
         monotone=_monotonicity(*_steps(values)),
         range01=(hi <= 1.0 + _SLACK),
     )
-
-
-def require_convex(f: FunctionSpec, interval: Interval) -> None:
-    """Sampled convexity guard: f'' >= -1e-9 on the grid, else ``ConvexityViolated``."""
-    if f.d2 is None:
-        raise NonSmoothExpression(f"convexity check needs a second derivative for {f.text!r}")
-    if interval.is_degenerate():
-        if f.second_derivative(interval.a) < -_SLACK:
-            raise ConvexityViolated(f"f'' < 0 at {interval.a} for f = {f.text}")
-        return
-    for x in _grid(interval):
-        v = f.second_derivative(x)
-        if v < -_SLACK:
-            raise ConvexityViolated(f"f'' = {v} at x = {x} for f = {f.text}")

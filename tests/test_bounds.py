@@ -83,9 +83,14 @@ class TestHermiteHadamard:
         enc = hermite_hadamard(function_spec("3*x + 1"), UNIT)
         assert enc.width == pytest.approx(0.0, abs=1e-15)
 
-    def test_concave_rejected(self):
+    # the quartic's f'' = 12(x - 0.005)^2 - 1e-4 is negative only on
+    # (0.0021, 0.0079), between the points of a 0.01 grid
+    @pytest.mark.parametrize(
+        "source", ["0 - x^2", "(x - 0.005)^4 - 0.00005*x^2"], ids=["parabola", "quartic-dip"]
+    )
+    def test_concave_rejected(self, source):
         with pytest.raises(ConvexityViolated):
-            hermite_hadamard(function_spec("0 - x^2"), UNIT)
+            hermite_hadamard(function_spec(source), UNIT)
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ParameterOutOfRange):

@@ -222,9 +222,13 @@ class TestBounds:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_concave_function_exits_1(self, capsys):
+    # the f'' of -1/exp(800 x) is inf/inf = NaN at every point of [0.9, 1]
+    @pytest.mark.parametrize(
+        "f, a", [("0 - x^2", "0"), ("-1/exp(800*x)", "0.9")], ids=["parabola", "nan-curvature"]
+    )
+    def test_concave_function_exits_1(self, capsys, f, a):
         code, _, err = run_cli(
-            capsys, "bounds", "--f", "0 - x^2", "--a", "0", "--b", "1", "--rule", "hh"
+            capsys, "bounds", f"--f={f}", "--a", a, "--b", "1", "--rule", "hh"
         )
         assert code == 1
         assert "error:" in err
@@ -330,6 +334,19 @@ class TestMeans:
         payload = json.loads(out)
         assert all(v == pytest.approx(3.0, rel=1e-14) for v in payload["means"].values())
 
+    @pytest.mark.parametrize(
+        "a, b, p, line",
+        [
+            ("1", "1.0000000000000002", "-0.5", "integral-power(p=-0.5)  1"),  # b^0.5 - a^0.5 rounds to 0
+            ("1e6", "1000000.0000000009", "1", "integral-power(p=1)  1000000"),  # b^2 - a^2 keeps no digit
+        ],
+        ids=["negative-exponent", "large-operands"],
+    )
+    def test_close_operands_integral_power_mean(self, capsys, a, b, p, line):
+        code, out, _ = run_cli(capsys, "means", "--a", a, "--b", b, "--p", p)
+        assert code == 0
+        assert line + "\n" in out
+
     def test_nonpositive_operand_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "means", "--a", "0", "--b", "1")
         assert code == 1
@@ -410,9 +427,15 @@ def test_overflowing_integrand_returns():
     assert cert["oracle_converged"] is False
 
 
-def test_overflow_absorbed_by_a_later_node():
+# the mirror's f'' is NaN at its first grid point, a, where the original's is finite
+@pytest.mark.parametrize(
+    "f, a, b",
+    [("1/exp(800*x) + x^2", "0", "1"), ("1/exp(-800*x) + x^2", "-1", "0")],
+    ids=["original", "mirror"],
+)
+def test_overflow_absorbed_by_a_later_node(f, a, b):
     # exp(800) overflows, but 1/exp(800*x) is 0 there, not inf
-    proc = run_module("bounds", "--f", "1/exp(800*x) + x^2", "--a", "0", "--b", "1", "--rule", "hh")
+    proc = run_module("bounds", "--f", f, f"--a={a}", "--b", b, "--rule", "hh")
     assert proc.returncode == 0
     assert proc.stdout == "hermite-hadamard: enclosure=(0.25, 1) oracle=0.334583333333 -> contained\n"
 

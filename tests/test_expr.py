@@ -333,6 +333,12 @@ class TestCurvatureRange:
         c = curvature_range(function_spec("1/(x - 0.3)^2"), Interval(0.0, 1.0))
         assert c.provenance is Provenance.SAMPLED_HEURISTIC
 
+    def test_mirror_band_equals_the_original(self):
+        # f'' is inf/inf = NaN where exp(±800 x) overflows; for the mirror
+        # that includes its first sample, a = -1
+        band = curvature_range(function_spec("1/exp(800*x) + x^2"), Interval(0.0, 1.0))
+        assert curvature_range(function_spec("1/exp(-800*x) + x^2"), Interval(-1.0, 0.0)) == band
+
     def test_overflowing_band_is_refused(self):
         # the interval band is not finite, and neither is the sampled one
         with pytest.raises(ParameterOutOfRange):

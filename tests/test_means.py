@@ -4,7 +4,7 @@ Young refinements."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexcert.core import (
@@ -124,6 +124,8 @@ class TestOrdering:
         assert i <= m + slack
 
     @given(a=positive, b=positive, p=st.floats(min_value=-3.0, max_value=3.0))
+    @example(a=0.010000000000000002, b=0.01, p=1.0)  # a^2 - b^2 keeps no digit
+    @example(a=1.0, b=1.0000000000000002, p=-0.5)  # b^0.5 - a^0.5 rounds to 0
     @settings(max_examples=200, deadline=None)
     def test_integral_power_mean_between_operands(self, a, b, p):
         lo, hi = min(a, b), max(a, b)
