@@ -29,7 +29,6 @@ the falsification harness both iterate it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Union
 
 from .core import (
@@ -341,7 +340,7 @@ def complement_weight_chains(
     avg = 0.5 * (f(a) + f(b))
     F = _integral(f, interval, tol, "integral of f")
     G = _integral(ws.function, interval, tol, "integral of the weight")
-    FG = _integral(lambda t: f(t) * ws.function(t), interval, tol, "integral of f*g")
+    FG = _oracle(integrate(f, interval, tol, ws.function), "integral of f*g")
     P = max(_oracle(moment_ab(ws.function, interval, tol), "endpoint moment"), 0.0)
     left1 = w * avg - F - c.m * w**3 / 12.0
     mid1 = avg * G - FG - 0.5 * c.m * P
@@ -584,8 +583,7 @@ def target_integral_mean(f, interval: Interval, tol: float = 1e-10) -> QuadResul
 
 def target_fejer(f, g: WeightLike, interval: Interval, tol: float = 1e-10) -> QuadResult:
     """Oracle for ∫ f g over the interval."""
-    gfn = _weight_function(g)
-    return integrate(lambda t: f(t) * gfn(t), interval, tol)
+    return integrate(f, interval, tol, _weight_function(g))
 
 
 def target_gap(
@@ -632,7 +630,7 @@ def target_gap(
         raise ParameterOutOfRange(f"{rule.value} needs a weight")
     gfn = _weight_function(g)
     rg = integrate(gfn, interval, tol)
-    rfg = integrate(lambda t: f(t) * gfn(t), interval, tol)
+    rfg = integrate(f, interval, tol, gfn)
     if rule is Rule.WEIGHTED_TRAPEZOID_GAP:
         coef = 0.5 * (f(a) + f(b))
         val = coef * rg.value - rfg.value
@@ -672,7 +670,8 @@ class Problem:
     """Everything a rule in :data:`RULES` may read: f on an interval,
     the oracle tolerance, and whichever of curvature band, weight, λ,
     node weights and window half-width ``y`` the rule needs (the rest
-    may stay ``None``)."""
+    may stay ``None``).  Rules that read the same integral, such as the
+    bisection pair, compute it once: ``f`` remembers it."""
 
     f: FunctionSpec
     interval: Interval
@@ -682,11 +681,6 @@ class Problem:
     lam: Lambda | None = None
     nodes: NodeWeights | None = None
     y: float | None = None
-
-    @cached_property
-    def bisection(self) -> tuple[QuadResult, QuadResult]:
-        """Both bisection targets, so the pair shares one integral of f."""
-        return target_bisection(self.f, self.interval, self.tol)
 
 
 @dataclass(frozen=True)
@@ -765,13 +759,13 @@ RULES: dict[Rule, RuleSpec] = {
     Rule.BISECTION_MEAN: RuleSpec(
         "bisection_bounds_mean",
         lambda p: bisection_bounds(p.band, p.interval)[0],
-        lambda p: p.bisection[0],
+        lambda p: target_bisection(p.f, p.interval, p.tol)[0],
         band=True,
     ),
     Rule.BISECTION_QUARTER: RuleSpec(
         "bisection_bounds_quarter",
         lambda p: bisection_bounds(p.band, p.interval)[1],
-        lambda p: p.bisection[1],
+        lambda p: target_bisection(p.f, p.interval, p.tol)[1],
         band=True,
     ),
     Rule.VASIC_LACKOVIC: RuleSpec(

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from functools import cached_property
+from typing import Callable, Iterator, TypeVar, Union
 
 from .core import (
     ConvexityViolated,
@@ -608,6 +609,10 @@ class FunctionSpec:
     Calling the spec evaluates the compiled form of ``ast``; raw math
     errors are mapped to :class:`DomainError` at this boundary.  ``d1``
     and ``d2`` are ``None`` for evaluation-only specs (weights).
+
+    A spec remembers its pure analyses (integrals, moments, weight
+    profile, f'' range) in a private memo that lives and dies with it;
+    see :func:`_remember`.
     """
 
     ast: Node
@@ -616,15 +621,26 @@ class FunctionSpec:
     _fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
     _d1fn: Callable[[float], float] | None = field(init=False, repr=False, compare=False)
     _d2fn: Callable[[float], float] | None = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_fn", _compile(self.ast))
         object.__setattr__(self, "_d1fn", _compile(self.d1) if self.d1 is not None else None)
         object.__setattr__(self, "_d2fn", _compile(self.d2) if self.d2 is not None else None)
+        object.__setattr__(self, "_memo", {})
 
-    @property
+    @cached_property
     def text(self) -> str:
         return to_text(self.ast)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashing walks the whole AST, and a weight is hashed on every
+        # memo lookup of an integral against it
+        return hash((self.ast, self.d1, self.d2))
 
     def __call__(self, x: float) -> float:
         try:
@@ -649,6 +665,27 @@ class FunctionSpec:
 
     def second_derivative(self, x: float) -> float:
         return self._call_node(self._d2fn, self.d2, "second derivative", x)
+
+
+_T = TypeVar("_T")
+
+
+def _remember(owner: object, key: tuple, compute: Callable[[], _T]) -> _T:
+    """``compute()``, kept under ``key`` in the memo of ``owner`` when it
+    is a :class:`FunctionSpec`.
+
+    A spec is pure, so a hit returns exactly what the computation would.
+    Any other callable may not be, so it always computes.  Nothing
+    outside the spec holds an entry: it goes when the spec goes.  Keys
+    compare floats by value, so -0.0 and 0.0 share an entry; a result
+    that can tell them apart is keyed on their reprs.
+    """
+    if not isinstance(owner, FunctionSpec):
+        return compute()
+    memo = owner._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def function_spec(source: str | Node) -> FunctionSpec:
@@ -685,9 +722,17 @@ def _chebyshev_grid(interval: Interval, samples: int) -> list[float]:
 
 
 def _f2_range(f: FunctionSpec, interval: Interval, what: str) -> tuple[float, float, Provenance]:
-    """f''s range on the interval before widening, and its provenance (see :func:`curvature_range`)."""
+    """f''s range on the interval before widening, and its provenance (see
+    :func:`curvature_range`), computed once per spec and interval."""
     if f.d2 is None:
         raise NonSmoothExpression(f"{what} needs a second derivative for {f.text!r}")
+    # keyed on the reprs: the walker can return an end itself (f'' = x),
+    # and -0.0 == 0.0 would otherwise share an entry
+    key = ("f2_range", repr(interval.a), repr(interval.b))
+    return _remember(f, key, lambda: _f2_analysis(f, interval))
+
+
+def _f2_analysis(f: FunctionSpec, interval: Interval) -> tuple[float, float, Provenance]:
     a, b = interval.a, interval.b
     try:
         m, M = _walk(f.d2, (a, b), _INTERVAL)

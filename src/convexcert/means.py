@@ -135,8 +135,12 @@ def integral_power_mean(p: float, a: float, b: float) -> float:
     mean at p = 0, and the common value a at a = b.
 
     The quotient is min(a, b)^p · expm1(u)/((p+1)·t), with t = |b - a|/min(a, b)
-    and u = (p+1)·log1p(t), so close operands do not cancel; only where
-    expm1(u) would overflow (|u| >= 700) is it taken as written.
+    and u = (p+1)·log1p(t), so close operands do not cancel.  Where
+    expm1(u) would overflow (|u| >= 700) the powers can too, so the
+    quotient is anchored at the dominant operand instead: for p > -1 it
+    is max(a, b)^p · (1 - r^(p+1))/((p+1)(1 - r)) with r = min/max, and
+    for p < -1 it is summed in logs around log min(a, b), with one exp
+    at the end.
     """
     _require_positive(a, b)
     if not math.isfinite(p):
@@ -147,12 +151,18 @@ def integral_power_mean(p: float, a: float, b: float) -> float:
         return identric_mean(a, b)
     if abs(p + 1.0) < _LIMIT_EPS:
         return logarithmic_mean(a, b)
-    t = abs(b - a) / min(a, b)
+    lo, hi = min(a, b), max(a, b)
+    t = (hi - lo) / lo
     u = (p + 1.0) * math.log1p(t)
     if abs(u) < 700.0:
-        return min(a, b) * (math.expm1(u) / ((p + 1.0) * t)) ** (1.0 / p)
-    core = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
-    return core ** (1.0 / p)
+        return lo * (math.expm1(u) / ((p + 1.0) * t)) ** (1.0 / p)
+    if t == math.inf:  # hi/lo beyond the float range; its log is not
+        u = (p + 1.0) * (math.log(hi) - math.log(lo))
+    if p > -1.0:  # 1 - r^(p+1) = -expm1(-u) and 1 - r = (hi - lo)/hi
+        return hi * (-math.expm1(-u) / ((p + 1.0) * ((hi - lo) / hi))) ** (1.0 / p)
+    # hi^(p+1) - lo^(p+1) = lo^(p+1)·expm1(u), negative like (p+1)(hi - lo)
+    log_quotient = (p + 1.0) * math.log(lo) + math.log(-math.expm1(u))
+    return math.exp((log_quotient - math.log(-(p + 1.0)) - math.log(hi - lo)) / p)
 
 
 _DISPATCH = {

@@ -40,7 +40,7 @@ from .core import (
     WeightSpec,
     check_tolerance,
 )
-from .expr import FunctionSpec
+from .expr import FunctionSpec, _remember
 
 __all__ = [
     "integrate",
@@ -99,8 +99,14 @@ _SLACK = 1e-9
 _TIE_TOL = 1e-12
 
 
-def integrate(f: Callable[[float], float], interval: Interval, tol: float = 1e-10) -> QuadResult:
-    """Integrate ``f`` over the interval with adaptive Gauss–Kronrod (G7/K15).
+def integrate(
+    f: Callable[[float], float],
+    interval: Interval,
+    tol: float = 1e-10,
+    g: Callable[[float], float] | None = None,
+) -> QuadResult:
+    """Integrate ``f``, or ``f·g`` when a weight ``g`` is given, over the
+    interval with adaptive Gauss–Kronrod (G7/K15).
 
     The interval starts as 8 equal panels, so an accidental agreement of
     the first coarse rules cannot accept a panel before the integrand has
@@ -112,6 +118,12 @@ def integrate(f: Callable[[float], float], interval: Interval, tol: float = 1e-1
     at :data:`MAX_DEPTH` halvings, or with a non-finite value, is accepted
     unconverged.
 
+    When ``f`` is a :class:`FunctionSpec` (and ``g``, if given, is one
+    too), the result is remembered in ``f``'s memo under (g, interval,
+    tol), so integrating the same pair again returns the identical
+    result, evaluation count included, without evaluating anything.
+    Plain callables are integrated afresh on every call.
+
     Returns:
         QuadResult with the sum of the accepted panels' K15 values, the
         sum of their ``|K15 - G7|``, the number of function evaluations
@@ -121,6 +133,13 @@ def integrate(f: Callable[[float], float], interval: Interval, tol: float = 1e-1
     """
     check_tolerance(tol)
     a, b = interval.a, interval.b
+    integrand = f if g is None else lambda t: f(t) * g(t)
+    owner = f if g is None or isinstance(g, FunctionSpec) else None
+    return _remember(owner, ("integrate", g, a, b, tol), lambda: _adaptive(integrand, a, b, tol))
+
+
+def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
+    """The adaptive G7/K15 run behind :func:`integrate`."""
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
 
@@ -168,21 +187,27 @@ def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, 
 def moment_ab(
     g: Callable[[float], float], interval: Interval, tol: float = 1e-10
 ) -> QuadResult:
-    """Oracle value of the endpoint moment  ∫ (t - a)(b - t) g(t) dt.
+    """Oracle value of the endpoint moment  ∫ (t - a)(b - t) g(t) dt,
+    remembered in ``g``'s memo like :func:`integrate`.
 
     Nonnegative for any nonnegative weight (the integrand is a product
     of nonnegative factors on the interval).
     """
     a, b = interval.a, interval.b
-    return integrate(lambda t: (t - a) * (b - t) * g(t), interval, tol)
+    return _remember(
+        g, ("moment_ab", a, b, tol), lambda: integrate(lambda t: (t - a) * (b - t) * g(t), interval, tol)
+    )
 
 
 def moment_center(
     g: Callable[[float], float], interval: Interval, tol: float = 1e-10
 ) -> QuadResult:
-    """Oracle value of the central moment  ∫ (2t - a - b)² g(t) dt."""
+    """Oracle value of the central moment  ∫ (2t - a - b)² g(t) dt,
+    remembered in ``g``'s memo like :func:`integrate`."""
     a, b = interval.a, interval.b
-    return integrate(lambda t: (2.0 * t - a - b) ** 2 * g(t), interval, tol)
+    return _remember(
+        g, ("moment_center", a, b, tol), lambda: integrate(lambda t: (2.0 * t - a - b) ** 2 * g(t), interval, tol)
+    )
 
 
 def _grid(interval: Interval) -> list[float]:
@@ -226,8 +251,10 @@ def check_symmetry(g: Callable[[float], float], interval: Interval) -> bool:
 
 
 def monotone_profile(g: Callable[[float], float], interval: Interval) -> tuple[bool, bool]:
-    """(any rise, any fall) of g between consecutive grid points."""
-    return _steps([g(x) for x in _grid(interval)])
+    """(any rise, any fall) of g between consecutive grid points,
+    remembered in ``g``'s memo like :func:`integrate`."""
+    key = ("monotone_profile", interval.a, interval.b)
+    return _remember(g, key, lambda: _steps([g(x) for x in _grid(interval)]))
 
 
 def check_monotone(g: Callable[[float], float], interval: Interval) -> Monotonicity:

@@ -347,6 +347,13 @@ class TestMeans:
         assert code == 0
         assert line + "\n" in out
 
+    def test_far_operands_integral_power_mean(self, capsys):
+        # b^(p+1) = 1e400 overflows; the mean itself is finite
+        code, out, err = run_cli(capsys, "means", "--a", "1e-100", "--b", "1e100", "--p", "3")
+        assert code == 0
+        assert err == ""
+        assert "integral-power(p=3)  6.29960524947e+99\n" in out
+
     def test_nonpositive_operand_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "means", "--a", "0", "--b", "1")
         assert code == 1
@@ -368,11 +375,11 @@ class TestVerify:
         assert "trials must be >= 1" in err
 
 
-def run_module(*argv):
-    """Run ``python -m convexcert.cli`` on this checkout's ``src``,
+def run_module(*argv, module="convexcert.cli"):
+    """Run ``python -m <module>`` on this checkout's ``src``,
     whether or not the package is installed."""
     return subprocess.run(
-        [sys.executable, "-m", "convexcert.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -448,7 +455,8 @@ def test_integral_beyond_the_float_range_has_no_traceback():
     assert "oracle=inf (oracle unconverged)" in proc.stdout
 
 
-def test_module_entry_point_smoke():
-    proc = run_module("bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "hh", "--json")
+@pytest.mark.parametrize("module", ["convexcert", "convexcert.cli"])
+def test_module_entry_point_smoke(module):
+    proc = run_module("bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "hh", "--json", module=module)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["contained"] is True

@@ -126,11 +126,30 @@ class TestOrdering:
     @given(a=positive, b=positive, p=st.floats(min_value=-3.0, max_value=3.0))
     @example(a=0.010000000000000002, b=0.01, p=1.0)  # a^2 - b^2 keeps no digit
     @example(a=1.0, b=1.0000000000000002, p=-0.5)  # b^0.5 - a^0.5 rounds to 0
+    @example(a=1e-100, b=1e100, p=3.0)  # b^4 overflows
     @settings(max_examples=200, deadline=None)
     def test_integral_power_mean_between_operands(self, a, b, p):
         lo, hi = min(a, b), max(a, b)
         v = integral_power_mean(p, a, b)
         assert lo - 1e-12 * hi <= v <= hi + 1e-12 * hi
+
+    # operands at least 310 decades apart and |p + 1| >= 1, so that
+    # (p+1)·log(hi/lo) >= 700 and the powers themselves may overflow
+    @given(
+        lo=st.floats(-300.0, -155.0).map(lambda e: 10.0**e),
+        hi=st.floats(155.0, 300.0).map(lambda e: 10.0**e),
+        p=st.floats(-5.0, -2.0) | st.floats(0.05, 5.0),
+        swap=st.booleans(),
+    )
+    @example(lo=1e-100, hi=1e100, p=3.0, swap=False)
+    @settings(max_examples=200, deadline=None)
+    def test_integral_power_mean_of_far_operands_matches_mpmath(self, lo, hi, p, swap):
+        mpmath = pytest.importorskip("mpmath")
+        a, b = (hi, lo) if swap else (lo, hi)
+        with mpmath.workdps(60):
+            mlo, mhi, q = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(p) + 1
+            exact = ((mhi**q - mlo**q) / (q * (mhi - mlo))) ** (1 / mpmath.mpf(p))
+            assert abs(integral_power_mean(p, a, b) - exact) <= 1e-12 * exact
 
 
 class TestSubintervalGapChecks:

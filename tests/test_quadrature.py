@@ -1,10 +1,12 @@
 """Tests for adaptive quadrature, moment oracles and weight checks."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
-from convexcert import quadrature
+from convexcert import quadrature, verify
 from convexcert.core import (
     Interval,
     Monotonicity,
@@ -12,7 +14,7 @@ from convexcert.core import (
     ParameterOutOfRange,
     QuadResult,
 )
-from convexcert.expr import evaluation_spec, function_spec
+from convexcert.expr import curvature_range, evaluation_spec, function_spec, require_convex
 from convexcert.quadrature import (
     MAX_DEPTH,
     check_monotone,
@@ -21,6 +23,7 @@ from convexcert.quadrature import (
     integrate,
     moment_ab,
     moment_center,
+    monotone_profile,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -53,8 +56,12 @@ class TestIntegrate:
     def test_evaluations_count_every_call(self):
         # the kink splits panels, whose evaluations count as well
         calls = []
-        r = integrate(lambda t: calls.append(t) or abs(t - 0.0018), UNIT)
+        f = lambda t: calls.append(t) or abs(t - 0.0018)  # noqa: E731
+        r = integrate(f, UNIT)
         assert r.evaluations == len(calls) > 8 * 15
+        # a plain callable may not be pure, so it is never memoized
+        assert integrate(f, UNIT) == r
+        assert len(calls) == 2 * r.evaluations
 
     def test_linearity(self):
         f = math.exp
@@ -148,6 +155,54 @@ def test_agrees_with_mpmath(case):
         exact = float(mpmath.quad(lambda t: reference(mpmath, t), points))
     assert r.converged is converged
     assert abs(r.value - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+def _count(monkeypatch, name):
+    """Count the calls of the quadrature module's private ``name``."""
+    calls = []
+    original = getattr(quadrature, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, name, counted)
+    return calls
+
+
+class TestMemo:
+    def test_one_trial_runs_24_integrations(self, monkeypatch):
+        # 38 integrate calls per trial, 14 of them repeats of an
+        # integrand, interval and tolerance the trial already integrated
+        runs = _count(monkeypatch, "_adaptive")
+        verify.falsify(1, 42)
+        assert len(runs) == 24
+
+    def test_second_integral_of_a_spec_evaluates_nothing(self, monkeypatch):
+        f, g = function_spec("exp(x)"), evaluation_spec("x*(1 - x)")
+        first = integrate(f, UNIT, 1e-10, g)
+        panels = _count(monkeypatch, "_kronrod")
+        assert integrate(f, UNIT, 1e-10, g) == first
+        assert panels == []
+        # another tolerance, interval or weight computes anew
+        integrate(f, UNIT, 1e-9, g)
+        integrate(f, Interval(0.0, 0.5), 1e-10, g)
+        integrate(f, UNIT, 1e-10)
+        integrate(f, UNIT, 1e-10, evaluation_spec("x"))
+        assert len(panels) == 4 * 8
+
+    def test_memo_dies_with_its_spec(self):
+        f, g = function_spec("exp(x)"), evaluation_spec("x*(1 - x)")
+        integrate(f, UNIT, 1e-10, g)
+        moment_ab(g, UNIT)
+        moment_center(g, UNIT)
+        monotone_profile(g, UNIT)
+        curvature_range(f, UNIT)
+        require_convex(f, UNIT)
+        refs = weakref.ref(f), weakref.ref(g)
+        del f, g
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestMoments:
