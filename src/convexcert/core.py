@@ -68,7 +68,9 @@ class OracleInconclusive(CertError):
 
 
 class ConvexityViolated(CertError):
-    """Sampled second derivative dips below the convexity slack."""
+    """The lower end of f''s range on the interval, as the curvature
+    analysis finds it (exact, or sampled where the band is sampled), is
+    below the convexity slack -1e-9."""
 
 
 class SymmetryViolated(CertError):

@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .core import (
     ConvexityViolated,
@@ -428,8 +428,12 @@ _OCCURRENCES = {
 }
 
 
-def _compile(node: Node) -> Callable[[float], float]:
-    """Compile an AST to a plain Python callable (the fast path).
+# a compiled form: a list of points in, the list of their values out
+_Batch = Callable[[Sequence[float]], list[float]]
+
+
+def _compile(node: Node) -> _Batch:
+    """Compile an AST to a plain Python batch callable (the fast path).
 
     Domain failures surface as ValueError/ZeroDivisionError/Overflow
     from the math layer; :class:`FunctionSpec` maps them to
@@ -462,7 +466,7 @@ def _compile(node: Node) -> Callable[[float], float]:
         "nan": math.nan,
         "__builtins__": {},
     }
-    return eval(f"lambda x: {src(node)}", env)  # noqa: S307 - our own AST
+    return eval(f"lambda xs: [{src(node)} for x in xs]", env)  # noqa: S307 - our own AST
 
 
 # --------------------------------------------------------------------------
@@ -608,26 +612,32 @@ class FunctionSpec:
 
     Calling the spec evaluates the compiled form of ``ast``; raw math
     errors are mapped to :class:`DomainError` at this boundary.  ``d1``
-    and ``d2`` are ``None`` for evaluation-only specs (weights).
+    and ``d2`` are ``None`` for evaluation-only specs (weights).  Each
+    form is compiled on first use, once, as a batch callable; a call at
+    one point is a batch of one.
 
     A spec remembers its pure analyses (integrals, moments, weight
-    profile, f'' range) in a private memo that lives and dies with it;
-    see :func:`_remember`.
+    profile, f'' range, and the node values of the quadrature's starting
+    panels) in a private memo that lives and dies with it; see
+    :func:`_remember`.
     """
 
     ast: Node
     d1: Node | None = None
     d2: Node | None = None
-    _fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    _d1fn: Callable[[float], float] | None = field(init=False, repr=False, compare=False)
-    _d2fn: Callable[[float], float] | None = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_fn", _compile(self.ast))
-        object.__setattr__(self, "_d1fn", _compile(self.d1) if self.d1 is not None else None)
-        object.__setattr__(self, "_d2fn", _compile(self.d2) if self.d2 is not None else None)
-        object.__setattr__(self, "_memo", {})
+    @cached_property
+    def _fn(self) -> _Batch:
+        return _compile(self.ast)
+
+    @cached_property
+    def _d1fn(self) -> _Batch | None:
+        return None if self.d1 is None else _compile(self.d1)
+
+    @cached_property
+    def _d2fn(self) -> _Batch | None:
+        return None if self.d2 is None else _compile(self.d2)
 
     @cached_property
     def text(self) -> str:
@@ -644,17 +654,17 @@ class FunctionSpec:
 
     def __call__(self, x: float) -> float:
         try:
-            return self._fn(x)
+            return self._fn((x,))[0]
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"{self.text} undefined at x={x}: {exc}") from exc
         except OverflowError:  # re-run the point, saturating only the nodes that overflow
             return evaluate(self.ast, x)
 
-    def _call_node(self, fn: Callable[[float], float] | None, node: Node | None, what: str, x: float) -> float:
+    def _call_node(self, fn: _Batch | None, node: Node | None, what: str, x: float) -> float:
         if fn is None:
             raise NonSmoothExpression(f"{what} unavailable for {self.text!r}")
         try:
-            return fn(x)
+            return fn((x,))[0]
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"{what} of {self.text} undefined at x={x}: {exc}") from exc
         except OverflowError:
@@ -665,6 +675,22 @@ class FunctionSpec:
 
     def second_derivative(self, x: float) -> float:
         return self._call_node(self._d2fn, self.d2, "second derivative", x)
+
+    def _values(self, xs: Sequence[float]) -> list[float]:
+        """The spec at each of ``xs``, in one batch: bit for bit the values,
+        and the first :class:`DomainError`, of calls one point at a time."""
+        return _batch(self._fn, self, xs)
+
+    def _second_derivatives(self, xs: Sequence[float]) -> list[float]:
+        """f'' at each of ``xs``, in one batch, like :meth:`_values`."""
+        return _batch(self._d2fn, self.second_derivative, xs)
+
+
+def _batch(fn: _Batch, point: Callable[[float], float], xs: Sequence[float]) -> list[float]:
+    try:
+        return fn(xs)
+    except (ArithmeticError, ValueError):  # redo point by point: that call's error text, or its saturation
+        return [point(x) for x in xs]
 
 
 _T = TypeVar("_T")
@@ -739,9 +765,9 @@ def _f2_analysis(f: FunctionSpec, interval: Interval) -> tuple[float, float, Pro
     except DomainError:
         pass
     else:
-        if _walk(f.d2, 1, _OCCURRENCES) <= 1 or _hull(f.second_derivative(a), f.second_derivative(b)) == (m, M):
+        if _walk(f.d2, 1, _OCCURRENCES) <= 1 or _hull(*f._second_derivatives((a, b))) == (m, M):
             return m, M, Provenance.EXACT
-    values = [v for v in map(f.second_derivative, _chebyshev_grid(interval, _NODES)) if not math.isnan(v)]
+    values = [v for v in f._second_derivatives(_chebyshev_grid(interval, _NODES)) if not math.isnan(v)]
     return min(values, default=math.nan), max(values, default=math.nan), Provenance.SAMPLED_HEURISTIC
 
 

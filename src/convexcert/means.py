@@ -16,6 +16,7 @@ limits, |p + 1| for the logarithmic one).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,13 +120,26 @@ def identric_mean(a: float, b: float) -> float:
 
 
 def power_mean(p: float, a: float, b: float) -> float:
-    """((a^p + b^p)/2)^(1/p); the geometric mean at p = 0."""
+    """((a^p + b^p)/2)^(1/p); the geometric mean at p = 0.
+
+    Where a^p or b^p is not a normal float, or their sum overflows, the
+    mean is anchored at the dominant operand d (the larger for p > 0, the
+    smaller for p < 0) as d·((1 + (e/d)^p)/2)^(1/p), with e the other
+    operand and (e/d)^p <= 1.
+    """
     _require_positive(a, b)
     if not math.isfinite(p):
         raise ParameterOutOfRange(f"power mean exponent must be finite, got {p}")
     if abs(p) < _LIMIT_EPS:
         return geometric_mean(a, b)
-    return (0.5 * (a**p + b**p)) ** (1.0 / p)
+    try:
+        ap, bp = a**p, b**p
+    except OverflowError:
+        ap = bp = math.inf
+    if min(ap, bp) >= sys.float_info.min and 0.5 * (ap + bp) < math.inf:
+        return (0.5 * (ap + bp)) ** (1.0 / p)
+    d, e = (max(a, b), min(a, b)) if p > 0.0 else (min(a, b), max(a, b))
+    return d * (0.5 * (1.0 + (e / d) ** p)) ** (1.0 / p)
 
 
 def integral_power_mean(p: float, a: float, b: float) -> float:

@@ -17,7 +17,10 @@ accepted and the result carries ``converged=False``, and callers
 decide (the falsification harness, for instance, records such checks
 as inconclusive rather than failed).  A panel whose value is not
 finite (an integrand that overflows or returns NaN) is accepted
-unconverged at once, since no split can resolve it.
+unconverged at once, since no split can resolve it.  A
+:class:`~convexcert.expr.FunctionSpec` is evaluated in batches, and
+the node values of its 8 starting panels on an interval are kept in
+its memo, shared by every integral and moment there.
 
 Every weight check — sign, ``[0, 1]`` range, symmetry and
 monotonicity — is sampled, not certified: it reads one grid of 101
@@ -30,9 +33,12 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Iterable
+from contextlib import suppress
+from functools import partial
 from operator import mul
 
 from .core import (
+    DomainError,
     Interval,
     Monotonicity,
     NegativeWeight,
@@ -122,47 +128,103 @@ def integrate(
     too), the result is remembered in ``f``'s memo under (g, interval,
     tol), so integrating the same pair again returns the identical
     result, evaluation count included, without evaluating anything.
-    Plain callables are integrated afresh on every call.
+    A spec is evaluated in batches, and the 120 node values of its 8
+    starting panels on an interval are remembered too, so ``∫f``, ``∫g``
+    and ``∫f·g`` on one interval evaluate each of f and g there once.
+    Plain callables are integrated afresh, point by point, on every call.
 
     Returns:
         QuadResult with the sum of the accepted panels' K15 values, the
         sum of their ``|K15 - G7|``, the number of function evaluations
-        (15 per panel, split or accepted), and a convergence flag which
-        is False iff some panel hit the depth cap or was not finite, or
-        the sum left the float range (the value is then ``inf``).
+        (15 per panel, split or accepted, whether its node values were
+        computed or shared), and a convergence flag which is False iff
+        some panel hit the depth cap or was not finite, or the sum left
+        the float range (the value is then ``inf``).
     """
     check_tolerance(tol)
     a, b = interval.a, interval.b
-    integrand = f if g is None else lambda t: f(t) * g(t)
     owner = f if g is None or isinstance(g, FunctionSpec) else None
-    return _remember(owner, ("integrate", g, a, b, tol), lambda: _adaptive(integrand, a, b, tol))
+    return _remember(owner, ("integrate", g, a, b, tol), lambda: _adaptive(_integrand(f, g), a, b, tol))
 
 
-def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
+# An integrand in batch form: (panels, floor) -> its values at the 15
+# Kronrod nodes of each panel, where floor is the interval (a, b) when the
+# panels are the 8 starting panels of [a, b], and None for a split panel.
+_Panels = list[tuple[float, float]]
+_Sampler = Callable[[_Panels, tuple[float, float] | None], list[float]]
+
+
+def _nodes(panels: _Panels) -> list[float]:
+    """The 15 Kronrod nodes of each panel, panel after panel."""
+    halves = ((0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in panels)
+    return [center + half * x for center, half in halves for x in _NODES]
+
+
+def _at(f: Callable[[float], float], xs: list[float]) -> list[float]:
+    """f at each of ``xs``: one batch for a spec, point by point for any other callable."""
+    return f._values(xs) if isinstance(f, FunctionSpec) else [f(x) for x in xs]
+
+
+def _sample(f: Callable[[float], float], panels: _Panels, floor: tuple[float, float] | None) -> list[float]:
+    """f at the nodes of the panels; a spec remembers a floor, never a
+    split panel, so its memo stays bounded."""
+    if floor is None:
+        return _at(f, _nodes(panels))
+    return _remember(f, ("floor", *floor), lambda: _at(f, _nodes(panels)))
+
+
+def _integrand(f: Callable[[float], float], g: Callable[[float], float] | None) -> _Sampler:
+    if g is None:
+        return partial(_sample, f)
+    if not (isinstance(f, FunctionSpec) and isinstance(g, FunctionSpec)):
+        return lambda panels, floor: [f(t) * g(t) for t in _nodes(panels)]
+
+    def product(panels: _Panels, floor: tuple[float, float] | None) -> list[float]:
+        try:
+            return list(map(mul, _sample(f, panels, floor), _sample(g, panels, floor)))
+        except DomainError:  # point by point, so the factor that fails at the first node raises
+            return [f(t) * g(t) for t in _nodes(panels)]
+
+    return product
+
+
+def _adaptive(sample: _Sampler, a: float, b: float, tol: float) -> QuadResult:
     """The adaptive G7/K15 run behind :func:`integrate`."""
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
 
     width = b - a
-    panels = 1 << _MIN_DEPTH
-    step = width / panels
-    edges = [a + k * step for k in range(panels)] + [b]
-    stack = [(edges[k], edges[k + 1], _MIN_DEPTH) for k in reversed(range(panels))]
+    count = 1 << _MIN_DEPTH
+    step = width / count
+    edges = [a + k * step for k in range(count)] + [b]
+    starting = list(zip(edges, edges[1:]))
+    n = len(_NODES)
+    try:
+        floor = sample(starting, (a, b))
+    except DomainError:  # evaluate panel by panel instead, so the first failure in panel order raises
+        floor = None
+    # (lo, hi, depth, node values, or None while not yet evaluated)
+    stack = [
+        (lo, hi, _MIN_DEPTH, None if floor is None else floor[k * n : (k + 1) * n])
+        for k, (lo, hi) in enumerate(starting)
+    ][::-1]
     values: list[float] = []
     errors: list[float] = []
     converged = True
     evals = 0
     while stack:
-        lo, hi, depth = stack.pop()
-        value, err, mass = _kronrod(f, lo, hi)
-        evals += len(_NODES)
+        lo, hi, depth, fx = stack.pop()
+        if fx is None:
+            fx = sample([(lo, hi)], None)
+        value, err, mass = _kronrod(fx, lo, hi)
+        evals += n
         if not math.isfinite(value):
             converged = False
         elif not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * mass):
             if depth < MAX_DEPTH:
                 mid = 0.5 * (lo + hi)
-                stack.append((mid, hi, depth + 1))
-                stack.append((lo, mid, depth + 1))
+                stack.append((mid, hi, depth + 1, None))
+                stack.append((lo, mid, depth + 1, None))
                 continue
             converged = False
         values.append(value)
@@ -173,15 +235,25 @@ def _adaptive(f: Callable[[float], float], a: float, b: float, tol: float) -> Qu
         return QuadResult(sum(values), sum(errors), evals, False)
 
 
-def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
-    """(K15 value, |K15 - G7|, K15 value of |f|) of one panel."""
-    center = 0.5 * (lo + hi)
+def _kronrod(fx: list[float], lo: float, hi: float) -> tuple[float, float, float]:
+    """(K15 value, |K15 - G7|, K15 value of |f|) of one panel from its 15 node values."""
     half = 0.5 * (hi - lo)
-    fx = [f(center + half * x) for x in _NODES]
     k15 = sum(map(mul, _K15, fx))
     g7 = sum(map(mul, _G7, fx[1::2]))
     mass = sum(map(mul, _K15, map(abs, fx)))
     return half * k15, abs(half * (k15 - g7)), half * mass
+
+
+def _moment(
+    g: Callable[[float], float], interval: Interval, tol: float, factor: Callable[[float, float], float]
+) -> QuadResult:
+    """∫ factor(t, g(t)) dt over the interval; g's floor is shared with its other integrals."""
+    check_tolerance(tol)
+
+    def sample(panels: _Panels, floor: tuple[float, float] | None) -> list[float]:
+        return list(map(factor, _nodes(panels), _sample(g, panels, floor)))
+
+    return _adaptive(sample, interval.a, interval.b, tol)
 
 
 def moment_ab(
@@ -195,7 +267,7 @@ def moment_ab(
     """
     a, b = interval.a, interval.b
     return _remember(
-        g, ("moment_ab", a, b, tol), lambda: integrate(lambda t: (t - a) * (b - t) * g(t), interval, tol)
+        g, ("moment_ab", a, b, tol), lambda: _moment(g, interval, tol, lambda t, gt: (t - a) * (b - t) * gt)
     )
 
 
@@ -206,7 +278,7 @@ def moment_center(
     remembered in ``g``'s memo like :func:`integrate`."""
     a, b = interval.a, interval.b
     return _remember(
-        g, ("moment_center", a, b, tol), lambda: integrate(lambda t: (2.0 * t - a - b) ** 2 * g(t), interval, tol)
+        g, ("moment_center", a, b, tol), lambda: _moment(g, interval, tol, lambda t, gt: (2.0 * t - a - b) ** 2 * gt)
     )
 
 
@@ -217,10 +289,20 @@ def _grid(interval: Interval) -> list[float]:
 
 
 def _mirrors_match(g, interval: Interval, values: Iterable[float]) -> bool:
-    """Whether g(a + b - x) matches each grid value g(x), up to the first miss."""
+    """Whether g(a + b - x) matches each grid value g(x), up to the first miss.
+
+    A spec's mirrored values come in one batch; if that batch fails, they
+    are taken point by point, so a miss before the failing point still
+    answers False, as it does for any other callable.
+    """
     a, b = interval.a, interval.b
-    for x, gx in zip(_grid(interval), values):
-        if abs(gx - g(a + b - x)) > _SLACK * (1.0 + abs(gx)):
+    mirrors = [a + b - x for x in _grid(interval)]
+    mirrored: Iterable[float] = map(g, mirrors)
+    if isinstance(g, FunctionSpec):
+        with suppress(DomainError):
+            mirrored = g._values(mirrors)
+    for gx, gm in zip(values, mirrored):
+        if abs(gx - gm) > _SLACK * (1.0 + abs(gx)):
             return False
     return True
 
@@ -254,7 +336,7 @@ def monotone_profile(g: Callable[[float], float], interval: Interval) -> tuple[b
     """(any rise, any fall) of g between consecutive grid points,
     remembered in ``g``'s memo like :func:`integrate`."""
     key = ("monotone_profile", interval.a, interval.b)
-    return _remember(g, key, lambda: _steps([g(x) for x in _grid(interval)]))
+    return _remember(g, key, lambda: _steps(_at(g, _grid(interval))))
 
 
 def check_monotone(g: Callable[[float], float], interval: Interval) -> Monotonicity:
@@ -273,7 +355,7 @@ def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
     Raises:
         NegativeWeight: if any sample is below ``-1e-9``.
     """
-    values = [g(x) for x in _grid(interval)]
+    values = _at(g, _grid(interval))
     lo, hi = min(values), max(values)
     if lo < -_SLACK:
         raise NegativeWeight(f"weight {g.text!r} reaches {lo} on the interval")

@@ -354,6 +354,18 @@ class TestMeans:
         assert err == ""
         assert "integral-power(p=3)  6.29960524947e+99\n" in out
 
+    @pytest.mark.parametrize(
+        "a, b, p",
+        [("1e-200", "1e-200", "2"), ("1e200", "3e200", "2"), ("1e-300", "1e300", "-3")],
+        ids=["powers-underflow", "powers-overflow", "negative-power-overflows"],
+    )
+    def test_power_mean_of_extreme_operands(self, capsys, a, b, p):
+        code, out, err = run_cli(capsys, "means", "--a", a, "--b", b, "--p", p, "--json")
+        assert code == 0
+        assert err == ""
+        value = json.loads(out)["means"][f"power(p={p})"]
+        assert min(float(a), float(b)) <= value <= max(float(a), float(b))
+
     def test_nonpositive_operand_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "means", "--a", "0", "--b", "1")
         assert code == 1

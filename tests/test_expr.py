@@ -5,9 +5,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convexcert import expr
 from convexcert.core import (
     DomainError,
     Interval,
@@ -383,3 +384,45 @@ def test_exact_band_contains_f2_everywhere(ast, a, width, ts):
     for t in [0.0, 1.0, *ts]:
         v = f.second_derivative(min(a + t * width, interval.b))
         assert band.m - slack <= v <= band.M + slack
+
+
+def _outcome(call, x):
+    """repr of call(x), or the text of its DomainError."""
+    try:
+        return repr(call(x))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+_point_lists = st.lists(st.floats(-3.0, 3.0) | st.sampled_from((0.0, 1.0, -1.0, 800.0)), min_size=1, max_size=6)
+
+
+@given(ast=_smooth_asts, xs=_point_lists)
+@example(ast=parse("1/exp(800*x)"), xs=[1.0])  # exp overflows; only that node saturates
+@example(ast=parse("-exp(1000*x)"), xs=[0.5, 1.0])
+@example(ast=parse("log(x)"), xs=[2.0, -1.0, 0.0, 3.0])  # undefined in the middle
+@settings(max_examples=300, deadline=None)
+def test_batch_matches_point_by_point(ast, xs):
+    f = function_spec(ast)
+    for batch, point in ((f._values, f), (f._second_derivatives, f.second_derivative)):
+        expected = [_outcome(point, x) for x in xs]
+        failures = [o for o in expected if o.startswith("DomainError")]
+        if failures:  # the batch raises the first point's error
+            with pytest.raises(DomainError) as info:
+                batch(xs)
+            assert f"DomainError: {info.value}" == failures[0]
+        else:  # bit for bit, NaN as NaN and -0.0 as -0.0
+            assert [repr(v) for v in batch(xs)] == expected
+
+
+def test_a_spec_compiles_one_form_on_first_use(monkeypatch):
+    from convexcert.quadrature import integrate
+
+    compiled = []
+    original = expr._compile
+    monkeypatch.setattr(expr, "_compile", lambda node: compiled.append(node) or original(node))
+    f = function_spec("exp(x)")
+    assert compiled == []
+    integrate(f, Interval(0.0, 1.0))
+    f(0.5)
+    assert compiled == [f.ast]

@@ -133,6 +133,20 @@ class TestOrdering:
         v = integral_power_mean(p, a, b)
         assert lo - 1e-12 * hi <= v <= hi + 1e-12 * hi
 
+    @given(
+        a=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        b=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        p=st.floats(-8.0, -0.05) | st.floats(0.05, 8.0),
+    )
+    @example(a=1e-200, b=1e-200, p=2.0)  # a^2 underflows to 0
+    @example(a=1e200, b=3e200, p=2.0)  # a^2 overflows
+    @example(a=1e-300, b=1e300, p=-3.0)  # a^-3 overflows
+    @settings(max_examples=300, deadline=None)
+    def test_power_mean_between_operands(self, a, b, p):
+        lo, hi = min(a, b), max(a, b)
+        v = power_mean(p, a, b)
+        assert lo * (1.0 - 1e-12) <= v <= hi * (1.0 + 1e-12)
+
     # operands at least 310 decades apart and |p + 1| >= 1, so that
     # (p+1)·log(hi/lo) >= 700 and the powers themselves may overflow
     @given(

@@ -2,12 +2,14 @@
 
 import gc
 import math
+import re
 import weakref
 
 import pytest
 
-from convexcert import quadrature, verify
+from convexcert import expr, quadrature, verify
 from convexcert.core import (
+    DomainError,
     Interval,
     Monotonicity,
     NegativeWeight,
@@ -203,6 +205,75 @@ class TestMemo:
         del f, g
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+
+def _count_points(monkeypatch) -> list[int]:
+    """Points evaluated by every form compiled from now on, one entry per call."""
+    points: list[int] = []
+    original = expr._compile
+
+    def compile_counting(node):
+        fn = original(node)
+
+        def counted(xs):
+            points.append(len(xs) if isinstance(xs, (list, tuple)) else 1)
+            return fn(xs)
+
+        return counted
+
+    monkeypatch.setattr(expr, "_compile", compile_counting)
+    return points
+
+
+class TestSharedNodeValues:
+    def test_product_after_both_factors_evaluates_nothing(self, monkeypatch):
+        points = _count_points(monkeypatch)
+        f, g = function_spec("exp(x)"), evaluation_spec("1 + x*(1 - x)")
+        integrate(f, UNIT)
+        integrate(g, UNIT)
+        evaluated = sum(points)
+        r = integrate(f, UNIT, 1e-10, g)
+        assert sum(points) == evaluated
+        assert r.evaluations == 120
+
+    def test_moments_share_the_weight_floor(self, monkeypatch):
+        points = _count_points(monkeypatch)
+        g = evaluation_spec("1 + x*(1 - x)")
+        integrate(g, UNIT)
+        evaluated = sum(points)
+        moment_ab(g, UNIT)
+        moment_center(g, UNIT)
+        assert sum(points) == evaluated
+
+    def test_memo_keeps_floors_only(self):
+        f = function_spec("exp(30*x)")
+        r = integrate(f, UNIT)
+        assert r.evaluations > 120  # some panels were split
+        kept = {k: v for k, v in f._memo.items() if k[0] != "integrate"}
+        assert list(kept) == [("floor", 0.0, 1.0)]
+        assert all(len(v) <= 120 for v in kept.values())
+
+    def test_product_raises_the_factor_that_fails_at_the_first_node(self):
+        f, g = function_spec("(0.33 - x)^0.5"), evaluation_spec("(0.3 - x)^0.5")
+        # f's values alone fail too, at a later node than g's
+        with pytest.raises(DomainError, match=re.escape(f.text + " undefined at x=0.34")):
+            f._values([0.31, 0.34])
+        with pytest.raises(DomainError, match=re.escape(g.text + " undefined")):
+            integrate(f, UNIT, 1e-10, g)
+
+    def test_failure_in_a_split_panel_raises_before_a_later_floor_panel(self):
+        # log(0.3749 - x) is defined on the starting nodes of [0.25, 0.375]; that
+        # panel splits, and a node of a split panel fails before any node of
+        # [0.375, 0.5] is reached
+        with pytest.raises(DomainError, match=r"undefined at x=0\.3749"):
+            integrate(function_spec("log(0.3749 - x)"), UNIT)
+
+    def test_weight_failing_at_a_mirror_after_the_first_miss_classifies(self):
+        # the mirror 1 - x of the grid point x = 0.7000000000000001 is the
+        # pole, but the first grid point already misses its mirror
+        g = evaluation_spec("1/(x - 0.29999999999999993)^2")
+        assert not classify_weight(g, UNIT).symmetric
+        assert not check_symmetry(g, UNIT)
 
 
 class TestMoments:

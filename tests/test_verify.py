@@ -188,6 +188,14 @@ class TestFalsify:
         assert payload["failures"] == []
         assert math.isfinite(payload["worst_violation"])
 
+    def test_fifty_trials_are_pinned(self):
+        # any change to node positions or float order in the oracle, the
+        # bands or the harness moves these figures
+        payload = json.loads(falsify(50, 42, 1e-10).to_json())
+        assert (payload["passed"], payload["failed"], payload["inconclusive"]) == (2250, 0, 0)
+        assert repr(payload["worst_violation"]) == "2.842170943040401e-14"
+        assert payload["failures"] == []
+
     def test_json_lists_failures_in_field_order(self):
         failure = FailureRecord(3, "fejer", "seed=1 family=exp", "target 1.0 outside (0.0, 0.5)")
         report = TrialReport(7, 4, 170, 1, 9, 0.5, (failure,), {"fejer": 4})
