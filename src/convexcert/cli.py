@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -255,8 +256,11 @@ def cmd_means(args: argparse.Namespace) -> int:
         elif args.p is not None:
             means[f"{kind.value}(p={_FMT.format(args.p)})"] = mn.mean(kind, a, b, args.p).value
     ordering = [means[name] for name in _MEAN_ORDER]
-    slack = 1e-12 * max(1.0, max(ordering))
-    ordering_ok = all(u <= v + slack for u, v in zip(ordering, ordering[1:]))
+    # a mean that is not finite fails the ordering, and sets no slack
+    slack = 1e-12 * max([1.0, *filter(math.isfinite, ordering)])
+    ordering_ok = all(map(math.isfinite, ordering)) and all(
+        u <= v + slack for u, v in zip(ordering, ordering[1:])
+    )
     if args.json:
         payload = {"a": a, "b": b, "p": args.p, "means": means, "ordering_ok": ordering_ok}
         print(json.dumps(payload, indent=2))

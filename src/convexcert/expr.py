@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .core import (
@@ -435,14 +435,21 @@ _Batch = Callable[[Sequence[float]], list[float]]
 def _compile(node: Node) -> _Batch:
     """Compile an AST to a plain Python batch callable (the fast path).
 
+    The code depends only on the AST's shape: each ``Const`` becomes a
+    parameter ``k0…kn``, in walk order, of a factory compiled once per
+    shape (:func:`_shape`), and the form is that factory applied to the
+    constants, with the float operations of the constants written inline.
+
     Domain failures surface as ValueError/ZeroDivisionError/Overflow
     from the math layer; :class:`FunctionSpec` maps them to
     :class:`DomainError` at its boundary.
     """
+    consts: list[float] = []
 
     def src(n: Node) -> str:
         if isinstance(n, Const):
-            return repr(n.value)
+            consts.append(n.value)
+            return f"k{len(consts) - 1}"
         if isinstance(n, Var):
             return "x"
         if isinstance(n, Unary):
@@ -457,16 +464,15 @@ def _compile(node: Node) -> _Batch:
         sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[n.op]
         return f"({a} {sym} {b})"
 
-    env = {
-        "_exp": math.exp,
-        "_log": math.log,
-        "_abs": abs,
-        "_pow": math.pow,
-        "inf": math.inf,  # repr of a constant folded past the float range
-        "nan": math.nan,
-        "__builtins__": {},
-    }
-    return eval(f"lambda xs: [{src(node)} for x in xs]", env)  # noqa: S307 - our own AST
+    body = src(node)
+    params = ", ".join(f"k{i}" for i in range(len(consts)))
+    return _shape(f"lambda {params}: lambda xs: [{body} for x in xs]")(*consts)
+
+
+@lru_cache(maxsize=256)  # holds code only, never a constant or a spec
+def _shape(source: str) -> Callable[..., _Batch]:
+    env = {"_exp": math.exp, "_log": math.log, "_abs": abs, "_pow": math.pow, "__builtins__": {}}
+    return eval(source, env)  # noqa: S307 - our own AST
 
 
 # --------------------------------------------------------------------------
@@ -613,8 +619,10 @@ class FunctionSpec:
     Calling the spec evaluates the compiled form of ``ast``; raw math
     errors are mapped to :class:`DomainError` at this boundary.  ``d1``
     and ``d2`` are ``None`` for evaluation-only specs (weights).  Each
-    form is compiled on first use, once, as a batch callable; a call at
-    one point is a batch of one.
+    form is built on first use, once, as a batch callable whose code is
+    compiled once per expression shape per process, with this spec's
+    constants bound to it (see :func:`_compile`); a call at one point is
+    a batch of one.
 
     A spec remembers its pure analyses (integrals, moments, weight
     profile, f'' range, and the node values of the quadrature's starting

@@ -74,8 +74,11 @@ def _require_positive(*values: float) -> None:
 
 
 def arithmetic_mean(a: float, b: float) -> float:
+    """(a + b)/2, halved before the sum where the sum overflows."""
     _require_positive(a, b)
-    return 0.5 * (a + b)
+    if a + b < math.inf:
+        return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b
 
 
 def geometric_mean(a: float, b: float) -> float:
@@ -84,8 +87,14 @@ def geometric_mean(a: float, b: float) -> float:
 
 
 def harmonic_mean(a: float, b: float) -> float:
+    """2ab/(a + b).  Where 2ab is not a normal float, anchored at the
+    smaller operand: lo·2/(1 + lo/hi)."""
     _require_positive(a, b)
-    return 2.0 * a * b / (a + b)
+    product = 2.0 * a * b
+    if sys.float_info.min <= product < math.inf:
+        return product / (a + b)
+    lo, hi = min(a, b), max(a, b)
+    return lo * (2.0 / (1.0 + lo / hi))
 
 
 def logarithmic_mean(a: float, b: float) -> float:
@@ -93,12 +102,17 @@ def logarithmic_mean(a: float, b: float) -> float:
 
     Computed as (b - a) / log1p((b - a)/a): for operands a few ulp
     apart the direct log difference rounds to zero, while log1p of the
-    exactly-representable gap stays accurate.
+    exactly-representable gap stays accurate.  Where (b - a)/a rounds to
+    -1 or overflows, the operands lie more than 2^53 apart, and the plain
+    log difference is accurate.
     """
     _require_positive(a, b)
     if a == b:
         return a
-    return (b - a) / math.log1p((b - a) / a)
+    t = (b - a) / a
+    if -1.0 < t < math.inf:
+        return (b - a) / math.log1p(t)
+    return (b - a) / (math.log(b) - math.log(a))
 
 
 def identric_mean(a: float, b: float) -> float:
@@ -111,12 +125,18 @@ def identric_mean(a: float, b: float) -> float:
 
     which avoids the catastrophic cancellation of the textbook form for
     nearly equal operands (where it correctly tends to the midpoint).
-    It agrees with (1/e)(b^b / a^a)^(1/(b-a)).
+    It agrees with (1/e)(b^b / a^a)^(1/(b-a)).  Where (b - a)/a rounds
+    to -1 or overflows, log(b/a) is log b - log a and the mean is anchored
+    at the larger operand, where the exponent lies in (-1, 0).
     """
     _require_positive(a, b)
     if a == b:
         return a
-    return b * math.exp(a * math.log1p((b - a) / a) / (b - a) - 1.0)
+    t = (b - a) / a
+    if -1.0 < t < math.inf:
+        return b * math.exp(a * math.log1p(t) / (b - a) - 1.0)
+    lo, hi = min(a, b), max(a, b)
+    return hi * math.exp(lo * (math.log(hi) - math.log(lo)) / (hi - lo) - 1.0)
 
 
 def power_mean(p: float, a: float, b: float) -> float:

@@ -366,6 +366,29 @@ class TestMeans:
         value = json.loads(out)["means"][f"power(p={p})"]
         assert min(float(a), float(b)) <= value <= max(float(a), float(b))
 
+    def test_operands_at_the_ends_of_the_float_range(self, capsys):
+        # (b - a)/a overflows; the logarithmic and identric means used to read 0.0 and inf
+        code, out, err = run_cli(capsys, "means", "--a", "1e-300", "--b", "1e300", "--p", "-3", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["ordering_ok"] is True
+        assert all(1e-300 <= v <= 1e300 for v in payload["means"].values())
+
+    @pytest.mark.parametrize("bad", ["harmonic", "identric", "arithmetic"])
+    def test_a_mean_that_is_not_finite_fails_the_ordering(self, capsys, monkeypatch, bad):
+        from convexcert import means as mn
+
+        original = mn.mean
+
+        def infinite(kind, a, b, p=None):
+            value = original(kind, a, b, p)
+            return mn.MeanValue(kind, math.inf, p) if kind.value == bad else value
+
+        monkeypatch.setattr(mn, "mean", infinite)
+        code, out, _ = run_cli(capsys, "means", "--a", "1", "--b", "7", "--json")
+        assert code == 2
+        assert json.loads(out)["ordering_ok"] is False
+
     def test_nonpositive_operand_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "means", "--a", "0", "--b", "1")
         assert code == 1

@@ -21,6 +21,7 @@ from convexcert.core import (
 from convexcert.expr import (
     Binary,
     Const,
+    FunctionSpec,
     Unary,
     Var,
     curvature_range,
@@ -426,3 +427,77 @@ def test_a_spec_compiles_one_form_on_first_use(monkeypatch):
     integrate(f, Interval(0.0, 1.0))
     f(0.5)
     assert compiled == [f.ast]
+
+
+# --------------------------------------------------------------------------
+# One compiled shape per process, the constants bound per spec
+# --------------------------------------------------------------------------
+
+
+def _same_shape_outcomes(f: FunctionSpec, xs) -> None:
+    """f at each of xs, one call and one batch, is the walker's value by repr
+    (NaN as NaN, -0.0 as -0.0), or a DomainError where the walker raises one."""
+
+    def kind(outcome: str) -> str:
+        return "DomainError" if outcome.startswith("DomainError") else outcome
+
+    expected = [_outcome(lambda x: evaluate(f.ast, x), x) for x in xs]
+    assert [kind(_outcome(f, x)) for x in xs] == [kind(o) for o in expected]
+    if "DomainError" not in map(kind, expected):
+        assert [repr(v) for v in f._values(xs)] == expected
+
+
+@pytest.mark.parametrize(
+    "k, other",
+    [
+        ((0.0, 1.5), (-0.0, 1.5)),  # signed zeros, which compare equal
+        ((1e400, 1.5), (2.0, 1.5)),  # a constant folded past the float range
+        ((math.nan, 1.5), (2.0, 1.5)),
+        ((2.0, 1.5), (-2.0, -1.5)),  # sign flips
+    ],
+    ids=["signed-zero", "inf", "nan", "sign-flips"],
+)
+def test_specs_of_one_shape_share_code_and_keep_their_constants(k, other):
+    def spec(k0, k1):  # k0*x*(x - k1), built directly so that nothing folds
+        return FunctionSpec(Binary("mul", Binary("mul", Const(k0), Var()), Binary("sub", Var(), Const(k1))))
+
+    f, g = spec(*k), spec(*other)
+    assert f._fn.__code__ is g._fn.__code__
+    xs = [-2.0, -1.0, 0.0, 1.0, 1.5, 2.0, 3.25]
+    for h in (f, g):
+        _same_shape_outcomes(h, xs)
+    assert [repr(f(x)) for x in xs] != [repr(g(x)) for x in xs]
+
+
+def test_a_warm_shape_compiles_nothing():
+    warm = function_spec("2.0*exp(3.0*x) + 0.5*x^3")
+    warm(0.5), warm.derivative(0.5), warm.second_derivative(0.5)
+    misses = expr._shape.cache_info().misses
+    f = function_spec("-7.5*exp(0.25*x) + 4.0*x^3")
+    assert [f(0.5), f.derivative(0.5), f.second_derivative(0.5)] == [
+        evaluate(node, 0.5) for node in (f.ast, f.d1, f.d2)
+    ]
+    assert expr._shape.cache_info().misses == misses
+    assert f._fn.__code__ is warm._fn.__code__
+
+
+def _perturbed(node: expr.Node, rng: random.Random) -> expr.Node:
+    """The same tree with each constant moved or its sign flipped."""
+    if isinstance(node, Const):
+        return Const(-node.value if rng.random() < 0.3 else node.value + rng.uniform(-1.0, 1.0))
+    if isinstance(node, Unary):
+        return Unary(node.op, _perturbed(node.arg, rng))
+    if isinstance(node, Binary):
+        return Binary(node.op, _perturbed(node.left, rng), _perturbed(node.right, rng))
+    return node
+
+
+@given(seed=st.integers(0, 2**32 - 1), xs=st.lists(st.floats(0.6, 1.4), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_specs_of_one_shape_never_return_each_others_values(seed, xs):
+    rng = random.Random(seed)
+    ast = parse(random_smooth_source(rng))
+    f, g = FunctionSpec(ast), FunctionSpec(_perturbed(ast, rng))
+    assert g._fn.__code__ is f._fn.__code__  # the second compiled first
+    _same_shape_outcomes(f, xs)
+    _same_shape_outcomes(g, xs)

@@ -166,6 +166,64 @@ class TestOrdering:
             assert abs(integral_power_mean(p, a, b) - exact) <= 1e-12 * exact
 
 
+# operand pairs that left the float range inside the classical means:
+# (b - a)/a overflowing or rounding to -1, a + b or 2ab overflowing, and
+# 2ab underflowing to zero or to a subnormal
+_FLOAT_RANGE_ENDS = [
+    (1e-300, 1e300),
+    (1e300, 1e-300),
+    (1e20, 1.0),
+    (1e308, 1.7e308),
+    (1e-200, 1e-200),
+    (1e-160, 1e-160),
+]
+
+
+class TestFloatRangeEnds:
+    @given(
+        a=st.floats(-307.0, 308.0).map(lambda e: 10.0**e),
+        b=st.floats(-307.0, 308.0).map(lambda e: 10.0**e),
+    )
+    @example(a=1e-300, b=1e300)
+    @example(a=1e308, b=1.7e308)
+    @example(a=1e-200, b=1e-200)
+    @example(a=1e-160, b=1e-160)
+    @settings(max_examples=300, deadline=None)
+    def test_classical_means_match_mpmath(self, a, b):
+        # operands in increasing order: with a > b, log1p((b - a)/a) loses
+        # digits as b/a nears 2^-53, while the two far ends fall back
+        mpmath = pytest.importorskip("mpmath")
+        a, b = min(a, b), max(a, b)
+        with mpmath.workdps(60):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            if a == b:
+                exact = dict.fromkeys(("h", "g", "l", "i", "m"), ma)
+            else:
+                exact = {
+                    "h": 2 * ma * mb / (ma + mb),
+                    "g": mpmath.sqrt(ma * mb),
+                    "l": (mb - ma) / (mpmath.log(mb) - mpmath.log(ma)),
+                    "i": mpmath.exp((mb * mpmath.log(mb) - ma * mpmath.log(ma)) / (mb - ma) - 1),
+                    "m": (ma + mb) / 2,
+                }
+            got = {
+                "h": harmonic_mean(a, b),
+                "g": geometric_mean(a, b),
+                "l": logarithmic_mean(a, b),
+                "i": identric_mean(a, b),
+                "m": arithmetic_mean(a, b),
+            }
+            for name, value in got.items():
+                assert abs(value - exact[name]) <= 1e-13 * exact[name], name
+
+    @pytest.mark.parametrize("a, b", _FLOAT_RANGE_ENDS)
+    def test_means_stay_between_the_operands(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        chain = [harmonic_mean(a, b), geometric_mean(a, b), logarithmic_mean(a, b),
+                 identric_mean(a, b), arithmetic_mean(a, b)]
+        assert all(lo * (1.0 - 1e-13) <= v <= hi * (1.0 + 1e-13) for v in chain)
+        assert chain == sorted(chain)
+
 class TestSubintervalGapChecks:
     def test_al_golden_case(self):
         left, right = al_gap_check(2.0, 1.0, 2.0, 1.5)
