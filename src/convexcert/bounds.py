@@ -9,17 +9,12 @@ weight moments.  The oracle targets the bounds are meant to bracket
 are provided alongside as ``target_*`` evaluators so callers (CLI,
 falsification harness, tests) can verify containment independently.
 
-Conventions used throughout, for an interval [a, b] of width ``w``:
+The six unweighted gaps are curvature bands times one scale factor each,
+tabulated on :func:`gap_bounds`.  The two weighted gaps, for an
+interval [a, b] and a weight g, scale the band by an oracle moment:
 
-* midpoint gap      mean(f) - f((a+b)/2)                in [m w²/24, M w²/24]
-* trapezoid gap     (f(a)+f(b))/2 - mean(f)             in [m w²/12, M w²/12]
-* chord gap         λf(a)+(1-λ)f(b) - f(λa+(1-λ)b)      in λ(1-λ) w²/2 · [m, M]
-* symmetric pair    (f(x_λ)+f(x_λ'))/2 - f((a+b)/2)     in (1-2λ)² w²/8 · [m, M]
 * weighted trapezoid  (f(a)+f(b))/2 ∫g - ∫fg            in ∫(t-a)(b-t)g/2 · [m, M]
 * weighted midpoint   ∫fg - f((a+b)/2) ∫g               in ∫(2t-a-b)²g/8 · [m, M]
-
-where mean(f) is the integral mean and x_λ, x_λ' are the reflected
-pair λa+(1-λ)b and (1-λ)a+λb.
 
 :data:`RULES` pairs each rule with the inputs it needs, its enclosure
 and its oracle target, all read from one :class:`Problem`; the CLI and
@@ -29,7 +24,7 @@ the falsification harness both iterate it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .core import (
     AdmissibilityViolated,
@@ -63,14 +58,10 @@ __all__ = [
     "WeightLike",
     "hermite_hadamard",
     "fejer",
-    "chord_gap_bounds",
-    "symmetric_pair_gap_bounds",
-    "hh_midpoint_gap_bounds",
-    "hh_trapezoid_gap_bounds",
+    "gap_bounds",
     "fejer_trapezoid_gap_bounds",
     "fejer_midpoint_gap_bounds",
     "complement_weight_chains",
-    "bisection_bounds",
     "h1_functional",
     "h2_functional",
     "hh_gap_monotone",
@@ -79,7 +70,6 @@ __all__ = [
     "target_integral_mean",
     "target_fejer",
     "target_gap",
-    "target_bisection",
     "target_vasic_lackovic",
 ]
 
@@ -125,10 +115,8 @@ def _weight_function(g: WeightLike) -> FunctionSpec:
 
 
 def _as_weight(g: WeightLike, interval: Interval) -> WeightSpec:
-    """Classify (or re-classify) a weight on the working interval."""
-    if isinstance(g, WeightSpec):
-        if abs(g.center - interval.midpoint) <= 1e-12 * max(1.0, abs(g.center)):
-            return g
+    """Classify a weight on the working interval (remembered per interval
+    in the weight's memo), whatever interval a given spec was built on."""
     return classify_weight(_weight_function(g), interval)
 
 
@@ -228,39 +216,71 @@ def fejer(
 # --------------------------------------------------------------------------
 
 
-def chord_gap_bounds(c: CurvatureBounds, interval: Interval, lam: Lambda) -> Enclosure:
-    """Enclosure for the chord gap λf(a) + (1-λ)f(b) - f(λa + (1-λ)b):
-    both sides are λ(1-λ)(b-a)²/2 times the curvature bound."""
-    s = lam.value * (1.0 - lam.value) * interval.width**2 / 2.0
-    return _band(
-        c, s, f"chord gap at lambda={lam.value} on [{interval.a}, {interval.b}]", Rule.CHORD_GAP
-    )
+class _Gap(NamedTuple):
+    label: str  # the operation name in falsification reports
+    description: str
+    scale: Callable[[float, float | None], float]  # s(w, λ)
+    divisor: float = 1.0
+    lam: bool = False
 
 
-def symmetric_pair_gap_bounds(
-    c: CurvatureBounds, interval: Interval, lam: Lambda
+# The six unweighted gaps, in registry order; each band is (m·s/d, M·s/d), see _band.
+_GAPS: dict[Rule, _Gap] = {
+    Rule.MIDPOINT_GAP: _Gap("hh_midpoint_gap_bounds", "midpoint gap", lambda w, lam: w**2 / 24.0),
+    Rule.TRAPEZOID_GAP: _Gap("hh_trapezoid_gap_bounds", "trapezoid gap", lambda w, lam: w**2 / 12.0),
+    Rule.CHORD_GAP: _Gap(
+        "chord_gap_bounds", "chord gap", lambda w, lam: lam * (1.0 - lam) * w**2 / 2.0, lam=True
+    ),
+    Rule.SYMMETRIC_PAIR_GAP: _Gap(
+        "symmetric_pair_gap_bounds",
+        "symmetric pair gap",
+        lambda w, lam: (1.0 - 2.0 * lam) ** 2 * w**2 / 8.0,
+        lam=True,
+    ),
+    Rule.BISECTION_MEAN: _Gap(
+        "bisection_bounds_mean", "trapezoid-vs-mean bisection gap", lambda w, lam: w**2, 48.0
+    ),
+    Rule.BISECTION_QUARTER: _Gap(
+        "bisection_bounds_quarter", "mean-vs-quarter-points bisection gap", lambda w, lam: w**2, 96.0
+    ),
+}
+
+
+def gap_bounds(
+    rule: Rule, c: CurvatureBounds, interval: Interval, lam: Lambda | None = None
 ) -> Enclosure:
-    """Enclosure for the reflected-pair gap
-    (f(λa+(1-λ)b) + f((1-λ)a+λb))/2 - f((a+b)/2), scale (1-2λ)²(b-a)²/8."""
-    s = (1.0 - 2.0 * lam.value) ** 2 * interval.width**2 / 8.0
-    return _band(
-        c,
-        s,
-        f"symmetric pair gap at lambda={lam.value} on [{interval.a}, {interval.b}]",
-        Rule.SYMMETRIC_PAIR_GAP,
-    )
+    """Enclosure of an unweighted gap: the band (m, M) times its scale.
 
+    For an interval [a, b] of width ``w``, with mean(f) the integral
+    mean and x_λ, x_λ' the reflected pair λa+(1-λ)b and (1-λ)a+λb::
 
-def hh_midpoint_gap_bounds(c: CurvatureBounds, interval: Interval) -> Enclosure:
-    """Enclosure [m w²/24, M w²/24] for mean(f) - f((a+b)/2)."""
-    s = interval.width**2 / 24.0
-    return _band(c, s, f"midpoint gap on [{interval.a}, {interval.b}]", Rule.MIDPOINT_GAP)
+        midpoint gap        mean(f) - f((a+b)/2)                 (m, M) · w²/24
+        trapezoid gap       (f(a)+f(b))/2 - mean(f)              (m, M) · w²/12
+        chord gap           λf(a)+(1-λ)f(b) - f(λa+(1-λ)b)       (m, M) · λ(1-λ)w²/2
+        symmetric pair      (f(x_λ)+f(x_λ'))/2 - f((a+b)/2)      (m, M) · (1-2λ)²w²/8
+        bisection mean      ((f(a)+f(b))/2 + f((a+b)/2))/2
+                              - mean(f)                          (m, M) · w²/48
+        bisection quarter   mean(f) - (f((3a+b)/4)
+                              + f((a+3b)/4))/2                   (m, M) · w²/96
 
+    The bisection bands are the trapezoid and midpoint bands applied on
+    each half of [a, b] and summed; both ends use the matching curvature
+    constant (an upper bound from m is already violated by f = exp on
+    [0, 1]).  On a degenerate interval every band collapses to (0, 0).
 
-def hh_trapezoid_gap_bounds(c: CurvatureBounds, interval: Interval) -> Enclosure:
-    """Enclosure [m w²/12, M w²/12] for (f(a)+f(b))/2 - mean(f)."""
-    s = interval.width**2 / 12.0
-    return _band(c, s, f"trapezoid gap on [{interval.a}, {interval.b}]", Rule.TRAPEZOID_GAP)
+    Raises:
+        ParameterOutOfRange: for a rule outside the six, or for the
+            chord and symmetric-pair gaps without ``lam``.
+    """
+    gap = _GAPS.get(rule)
+    if gap is None:
+        raise ParameterOutOfRange(f"{rule.value} is not an unweighted gap rule")
+    if gap.lam and lam is None:
+        raise ParameterOutOfRange(f"{rule.value} needs lambda")
+    lv = lam.value if gap.lam else None
+    at = "" if lv is None else f" at lambda={lv}"
+    what = f"{gap.description}{at} on [{interval.a}, {interval.b}]"
+    return _band(c, gap.scale(interval.width, lv), what, rule, gap.divisor)
 
 
 def fejer_trapezoid_gap_bounds(
@@ -347,38 +367,6 @@ def complement_weight_chains(
     left2 = c.M * w**3 / 12.0 - w * avg + F
     mid2 = 0.5 * c.M * P - avg * G + FG
     return (left1, mid1, 0.0), (left2, mid2, 0.0)
-
-
-# --------------------------------------------------------------------------
-# Bisection refinement
-# --------------------------------------------------------------------------
-
-
-def bisection_bounds(c: CurvatureBounds, interval: Interval) -> tuple[Enclosure, Enclosure]:
-    """Halved-interval refinements of the gap enclosures (weight ≡ 1).
-
-    Applying the trapezoid-gap band on each half of [a, b] and summing
-    gives, with w = b - a::
-
-        m w²/48  <=  ((f(a)+f(b))/2 + f((a+b)/2))/2 - mean(f)  <=  M w²/48
-
-    and the midpoint-gap band on each half gives::
-
-        m w²/96  <=  mean(f) - (f((3a+b)/4) + f((a+3b)/4))/2  <=  M w²/96
-
-    The second upper bound uses M: the per-half bands are (m, M)·w²/96
-    after summation, and the band endpoints must use the matching
-    curvature constant (a lower-curvature upper bound is already
-    violated by f = exp on [0, 1]).
-    """
-    if interval.is_degenerate():
-        raise ParameterOutOfRange("bisection bounds need a non-degenerate interval")
-    w2 = interval.width**2
-    on = f"on [{interval.a}, {interval.b}]"
-    return (
-        _band(c, w2, f"trapezoid-vs-mean bisection gap {on}", Rule.BISECTION_MEAN, 48.0),
-        _band(c, w2, f"mean-vs-quarter-points bisection gap {on}", Rule.BISECTION_QUARTER, 96.0),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -595,7 +583,7 @@ def target_gap(
     tol: float = 1e-10,
 ) -> QuadResult:
     """Oracle value of the gap quantity named by one of the six
-    ``*_GAP`` rules.
+    ``*_GAP`` rules or the two bisection rules.
 
     Evaluation-only targets (chord, symmetric pair) come back with a
     zero error estimate; integral-backed targets carry the quadrature
@@ -617,12 +605,16 @@ def target_gap(
         v = (1.0 - lv) * a + lv * b
         val = 0.5 * (f(u) + f(v)) - f(0.5 * (a + b))
         return QuadResult(val, 0.0, 3, True)
-    if rule is Rule.MIDPOINT_GAP or rule is Rule.TRAPEZOID_GAP:
+    if rule in _GAPS:  # the other four compare values of f with its integral mean
         r = _integral_mean(f, interval, tol, rule.value)
         if rule is Rule.MIDPOINT_GAP:
             val = r.value - f(interval.midpoint)
-        else:
+        elif rule is Rule.TRAPEZOID_GAP:
             val = 0.5 * (f(a) + f(b)) - r.value
+        elif rule is Rule.BISECTION_MEAN:
+            val = 0.5 * (0.5 * (f(a) + f(b)) + f(interval.midpoint)) - r.value
+        else:
+            val = r.value - 0.5 * (f(0.25 * (3.0 * a + b)) + f(0.25 * (a + 3.0 * b)))
         return QuadResult(val, r.error_estimate, r.evaluations, r.converged)
     if rule not in (Rule.WEIGHTED_TRAPEZOID_GAP, Rule.WEIGHTED_MIDPOINT_GAP):
         raise ParameterOutOfRange(f"{rule.value} is not a gap rule")
@@ -639,18 +631,6 @@ def target_gap(
         val = rfg.value - coef * rg.value
     err = abs(coef) * rg.error_estimate + rfg.error_estimate
     return QuadResult(val, err, rg.evaluations + rfg.evaluations, rg.converged and rfg.converged)
-
-
-def target_bisection(f, interval: Interval, tol: float = 1e-10) -> tuple[QuadResult, QuadResult]:
-    """Oracle values of the two bisection gap targets (one integral of f)."""
-    a, b = interval.a, interval.b
-    r = _integral_mean(f, interval, tol, "bisection target")
-    t1 = 0.5 * (0.5 * (f(a) + f(b)) + f(interval.midpoint)) - r.value
-    t2 = r.value - 0.5 * (f(0.25 * (3.0 * a + b)) + f(0.25 * (a + 3.0 * b)))
-    return (
-        QuadResult(t1, r.error_estimate, r.evaluations, r.converged),
-        QuadResult(t2, r.error_estimate, r.evaluations, r.converged),
-    )
 
 
 def target_vasic_lackovic(
@@ -730,44 +710,16 @@ RULES: dict[Rule, RuleSpec] = {
         band=True,
         weight=True,
     ),
-    Rule.MIDPOINT_GAP: RuleSpec(
-        "hh_midpoint_gap_bounds",
-        lambda p: hh_midpoint_gap_bounds(p.band, p.interval),
-        lambda p: target_gap(Rule.MIDPOINT_GAP, p.f, p.interval, tol=p.tol),
-        band=True,
-    ),
-    Rule.TRAPEZOID_GAP: RuleSpec(
-        "hh_trapezoid_gap_bounds",
-        lambda p: hh_trapezoid_gap_bounds(p.band, p.interval),
-        lambda p: target_gap(Rule.TRAPEZOID_GAP, p.f, p.interval, tol=p.tol),
-        band=True,
-    ),
-    Rule.CHORD_GAP: RuleSpec(
-        "chord_gap_bounds",
-        lambda p: chord_gap_bounds(p.band, p.interval, p.lam),
-        lambda p: target_gap(Rule.CHORD_GAP, p.f, p.interval, lam=p.lam),
-        band=True,
-        lam=True,
-    ),
-    Rule.SYMMETRIC_PAIR_GAP: RuleSpec(
-        "symmetric_pair_gap_bounds",
-        lambda p: symmetric_pair_gap_bounds(p.band, p.interval, p.lam),
-        lambda p: target_gap(Rule.SYMMETRIC_PAIR_GAP, p.f, p.interval, lam=p.lam),
-        band=True,
-        lam=True,
-    ),
-    Rule.BISECTION_MEAN: RuleSpec(
-        "bisection_bounds_mean",
-        lambda p: bisection_bounds(p.band, p.interval)[0],
-        lambda p: target_bisection(p.f, p.interval, p.tol)[0],
-        band=True,
-    ),
-    Rule.BISECTION_QUARTER: RuleSpec(
-        "bisection_bounds_quarter",
-        lambda p: bisection_bounds(p.band, p.interval)[1],
-        lambda p: target_bisection(p.f, p.interval, p.tol)[1],
-        band=True,
-    ),
+    **{
+        rule: RuleSpec(
+            gap.label,
+            lambda p, rule=rule: gap_bounds(rule, p.band, p.interval, p.lam),
+            lambda p, rule=rule: target_gap(rule, p.f, p.interval, lam=p.lam, tol=p.tol),
+            band=True,
+            lam=gap.lam,
+        )
+        for rule, gap in _GAPS.items()
+    },
     Rule.VASIC_LACKOVIC: RuleSpec(
         "vasic_lackovic",
         lambda p: vasic_lackovic(p.f, p.weight, p.nodes, p.interval, p.y, p.tol),

@@ -152,7 +152,8 @@ class Rule(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """A closed interval [a, b] with finite, ordered endpoints.
+    """A closed interval [a, b] with finite, ordered endpoints and a
+    finite width.
 
     Degenerate intervals (a == b) are legal; gap enclosures on them
     collapse to (0, 0).
@@ -166,6 +167,8 @@ class Interval:
             raise InvalidInterval(f"endpoints must be finite, got [{self.a}, {self.b}]")
         if self.a > self.b:
             raise InvalidInterval(f"endpoints out of order: [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise InvalidInterval(f"width overflows: [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

@@ -100,17 +100,19 @@ def harmonic_mean(a: float, b: float) -> float:
 def logarithmic_mean(a: float, b: float) -> float:
     """(b - a) / (log b - log a), extended by continuity at a = b.
 
-    Computed as (b - a) / log1p((b - a)/a): for operands a few ulp
-    apart the direct log difference rounds to zero, while log1p of the
-    exactly-representable gap stays accurate.  Where (b - a)/a rounds to
-    -1 or overflows, the operands lie more than 2^53 apart, and the plain
-    log difference is accurate.
+    Computed as (b - a) / log1p((b - a)/a) with the operands ordered
+    a < b: for operands a few ulp apart the direct log difference rounds
+    to zero, while log1p of the exactly-representable gap stays accurate.
+    (In the other order, far operands put (b - a)/a near -1, where log1p
+    keeps few digits.)  Where (b - a)/a overflows, the operands lie more
+    than 10^308 apart, and the plain log difference is accurate.
     """
     _require_positive(a, b)
     if a == b:
         return a
+    a, b = min(a, b), max(a, b)
     t = (b - a) / a
-    if -1.0 < t < math.inf:
+    if t < math.inf:
         return (b - a) / math.log1p(t)
     return (b - a) / (math.log(b) - math.log(a))
 
@@ -125,18 +127,19 @@ def identric_mean(a: float, b: float) -> float:
 
     which avoids the catastrophic cancellation of the textbook form for
     nearly equal operands (where it correctly tends to the midpoint).
-    It agrees with (1/e)(b^b / a^a)^(1/(b-a)).  Where (b - a)/a rounds
-    to -1 or overflows, log(b/a) is log b - log a and the mean is anchored
-    at the larger operand, where the exponent lies in (-1, 0).
+    It agrees with (1/e)(b^b / a^a)^(1/(b-a)).  The operands are ordered
+    a < b first, as for :func:`logarithmic_mean`, so the mean is anchored
+    at the larger operand, where the exponent lies in (-1, 0).  Where
+    (b - a)/a overflows, log(b/a) is log b - log a.
     """
     _require_positive(a, b)
     if a == b:
         return a
+    a, b = min(a, b), max(a, b)
     t = (b - a) / a
-    if -1.0 < t < math.inf:
+    if t < math.inf:
         return b * math.exp(a * math.log1p(t) / (b - a) - 1.0)
-    lo, hi = min(a, b), max(a, b)
-    return hi * math.exp(lo * (math.log(hi) - math.log(lo)) / (hi - lo) - 1.0)
+    return b * math.exp(a * (math.log(b) - math.log(a)) / (b - a) - 1.0)
 
 
 def power_mean(p: float, a: float, b: float) -> float:

@@ -350,19 +350,23 @@ def check_monotone(g: Callable[[float], float], interval: Interval) -> Monotonic
 
 
 def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
-    """Sample a weight once on the grid (and at the mirrored points) and record its flags.
+    """Sample a weight once on the grid (and at the mirrored points) and
+    record its flags, remembered in ``g``'s memo like :func:`integrate`.
 
     Raises:
         NegativeWeight: if any sample is below ``-1e-9``.
     """
+    # keyed on the reprs, as g may tell -0.0 from 0.0; the memo keeps the
+    # flags, not the spec, which holds g: a cycle through g's memo would
+    # keep g alive until the cyclic collector runs
+    key = ("classify_weight", repr(interval.a), repr(interval.b))
+    symmetric, monotone, range01 = _remember(g, key, lambda: _weight_flags(g, interval))
+    return WeightSpec(g, interval.midpoint, symmetric, monotone, range01)
+
+
+def _weight_flags(g: FunctionSpec, interval: Interval) -> tuple[bool, Monotonicity, bool]:
     values = _at(g, _grid(interval))
     lo, hi = min(values), max(values)
     if lo < -_SLACK:
         raise NegativeWeight(f"weight {g.text!r} reaches {lo} on the interval")
-    return WeightSpec(
-        function=g,
-        center=interval.midpoint,
-        symmetric=_mirrors_match(g, interval, values),
-        monotone=_monotonicity(*_steps(values)),
-        range01=(hi <= 1.0 + _SLACK),
-    )
+    return _mirrors_match(g, interval, values), _monotonicity(*_steps(values)), hi <= 1.0 + _SLACK

@@ -15,17 +15,12 @@ import time
 import pytest
 
 from convexcert.bounds import (
-    bisection_bounds,
-    chord_gap_bounds,
     fejer_midpoint_gap_bounds,
     fejer_trapezoid_gap_bounds,
+    gap_bounds,
     h1_functional,
     h2_functional,
     hh_gap_monotone,
-    hh_midpoint_gap_bounds,
-    hh_trapezoid_gap_bounds,
-    symmetric_pair_gap_bounds,
-    target_bisection,
     target_gap,
     target_vasic_lackovic,
     vasic_lackovic,
@@ -69,6 +64,7 @@ SQ = function_spec("x^2")
 EXP = function_spec("exp(x)")
 SQ_BAND = CurvatureBounds(2.0, 2.0)
 EXP_BAND = CurvatureBounds(1.0, E)
+BISECTION = (Rule.BISECTION_MEAN, Rule.BISECTION_QUARTER)
 ONE = evaluation_spec("1")
 
 
@@ -77,21 +73,21 @@ def test_quadratic_gaps_are_tight():
     point that the target hits exactly (within 1e-12); runtime < 1 s."""
     start = time.perf_counter()
     cases = [
-        ("midpoint", hh_midpoint_gap_bounds(SQ_BAND, UNIT),
+        ("midpoint", gap_bounds(Rule.MIDPOINT_GAP, SQ_BAND, UNIT),
          target_gap(Rule.MIDPOINT_GAP, SQ, UNIT).value, 1.0 / 12.0),
-        ("trapezoid", hh_trapezoid_gap_bounds(SQ_BAND, UNIT),
+        ("trapezoid", gap_bounds(Rule.TRAPEZOID_GAP, SQ_BAND, UNIT),
          target_gap(Rule.TRAPEZOID_GAP, SQ, UNIT).value, 1.0 / 6.0),
-        ("chord@1/2", chord_gap_bounds(SQ_BAND, UNIT, Lambda(0.5)),
+        ("chord@1/2", gap_bounds(Rule.CHORD_GAP, SQ_BAND, UNIT, Lambda(0.5)),
          target_gap(Rule.CHORD_GAP, SQ, UNIT, lam=Lambda(0.5)).value, 0.25),
-        ("pair@0", symmetric_pair_gap_bounds(SQ_BAND, UNIT, Lambda(0.0)),
+        ("pair@0", gap_bounds(Rule.SYMMETRIC_PAIR_GAP, SQ_BAND, UNIT, Lambda(0.0)),
          target_gap(Rule.SYMMETRIC_PAIR_GAP, SQ, UNIT, lam=Lambda(0.0)).value, 0.25),
         ("weighted-trapezoid", fejer_trapezoid_gap_bounds(SQ, ONE, SQ_BAND, UNIT),
          target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, SQ, UNIT, g=ONE).value, 1.0 / 6.0),
         ("weighted-midpoint", fejer_midpoint_gap_bounds(SQ, ONE, SQ_BAND, UNIT),
          target_gap(Rule.WEIGHTED_MIDPOINT_GAP, SQ, UNIT, g=ONE).value, 1.0 / 12.0),
     ]
-    e1, e2 = bisection_bounds(SQ_BAND, UNIT)
-    t1, t2 = target_bisection(SQ, UNIT)
+    e1, e2 = (gap_bounds(r, SQ_BAND, UNIT) for r in BISECTION)
+    t1, t2 = (target_gap(r, SQ, UNIT) for r in BISECTION)
     cases.append(("bisection-mean", e1, t1.value, 1.0 / 24.0))
     cases.append(("bisection-quarter", e2, t2.value, 1.0 / 48.0))
 
@@ -113,13 +109,13 @@ def test_exponential_golden_values():
     chord_gap = 0.5 * (1.0 + E) - math.sqrt(E)  # 0.21041964352939435
 
     cases = [
-        (hh_midpoint_gap_bounds(EXP_BAND, UNIT),
+        (gap_bounds(Rule.MIDPOINT_GAP, EXP_BAND, UNIT),
          target_gap(Rule.MIDPOINT_GAP, EXP, UNIT, tol=1e-10),
          mid_gap, (1.0 / 24.0, E / 24.0)),
-        (hh_trapezoid_gap_bounds(EXP_BAND, UNIT),
+        (gap_bounds(Rule.TRAPEZOID_GAP, EXP_BAND, UNIT),
          target_gap(Rule.TRAPEZOID_GAP, EXP, UNIT, tol=1e-10),
          trap_gap, (1.0 / 12.0, E / 12.0)),
-        (chord_gap_bounds(EXP_BAND, UNIT, Lambda(0.5)),
+        (gap_bounds(Rule.CHORD_GAP, EXP_BAND, UNIT, Lambda(0.5)),
          target_gap(Rule.CHORD_GAP, EXP, UNIT, lam=Lambda(0.5), tol=1e-10),
          chord_gap, (0.125, E / 8.0)),
     ]
@@ -145,15 +141,15 @@ def test_lambda_average_recovers_interval_gaps():
         inst = random_convex_instance(1000 + k)
         c, iv = inst.curvature, inst.interval
 
-        lo = sum(chord_gap_bounds(c, iv, lam).lower for lam in grid) / n
-        hi = sum(chord_gap_bounds(c, iv, lam).upper for lam in grid) / n
-        trap = hh_trapezoid_gap_bounds(c, iv)
+        lo = sum(gap_bounds(Rule.CHORD_GAP, c, iv, lam).lower for lam in grid) / n
+        hi = sum(gap_bounds(Rule.CHORD_GAP, c, iv, lam).upper for lam in grid) / n
+        trap = gap_bounds(Rule.TRAPEZOID_GAP, c, iv)
         assert lo == pytest.approx(trap.lower, rel=1e-6, abs=1e-15), inst.recipe
         assert hi == pytest.approx(trap.upper, rel=1e-6, abs=1e-15), inst.recipe
 
-        lo = sum(symmetric_pair_gap_bounds(c, iv, lam).lower for lam in grid) / n
-        hi = sum(symmetric_pair_gap_bounds(c, iv, lam).upper for lam in grid) / n
-        mid = hh_midpoint_gap_bounds(c, iv)
+        lo = sum(gap_bounds(Rule.SYMMETRIC_PAIR_GAP, c, iv, lam).lower for lam in grid) / n
+        hi = sum(gap_bounds(Rule.SYMMETRIC_PAIR_GAP, c, iv, lam).upper for lam in grid) / n
+        mid = gap_bounds(Rule.MIDPOINT_GAP, c, iv)
         assert lo == pytest.approx(mid.lower, rel=1e-6, abs=1e-15), inst.recipe
         assert hi == pytest.approx(mid.upper, rel=1e-6, abs=1e-15), inst.recipe
     print("[ok] lambda-grid averages match interval rules on 20 instances")

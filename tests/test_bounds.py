@@ -8,24 +8,21 @@ so the oracle integrals are being checked, not trusted.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexcert import bounds
 from convexcert.bounds import (
-    bisection_bounds,
-    chord_gap_bounds,
     complement_weight_chains,
     fejer,
     fejer_midpoint_gap_bounds,
     fejer_trapezoid_gap_bounds,
+    gap_bounds,
     h1_functional,
     h2_functional,
     hermite_hadamard,
     hh_gap_monotone,
-    hh_midpoint_gap_bounds,
-    hh_trapezoid_gap_bounds,
     refined_gap_chains,
-    symmetric_pair_gap_bounds,
-    target_bisection,
     target_fejer,
     target_gap,
     target_integral_mean,
@@ -39,6 +36,7 @@ from convexcert.core import (
     Interval,
     Lambda,
     MonotonicityViolated,
+    NegativeWeight,
     NodeWeights,
     ParameterOutOfRange,
     RangeViolated,
@@ -55,6 +53,7 @@ SQ = function_spec("x^2")
 EXP = function_spec("exp(x)")
 SQ_BAND = CurvatureBounds(2.0, 2.0)
 EXP_BAND = CurvatureBounds(1.0, E)
+BISECTION = (Rule.BISECTION_MEAN, Rule.BISECTION_QUARTER)
 PARABOLA_W = "x*(1 - x)"  # symmetric, in [0, 1/4]
 
 # closed forms for f = exp, g = t(1-t) on [0, 1]
@@ -132,6 +131,19 @@ class TestFejer:
         assert enc.upper == pytest.approx(10.0, abs=1e-12)
         assert enclosure_contains(enc, 26.0 / 3.0, tol=1e-10)
 
+    def test_weight_spec_from_another_interval_is_checked_again(self):
+        # 1 - 4(x-1)² is nonnegative and symmetric on [0.5, 1.5], the
+        # interval it was classified on, but reaches -3 on [0, 2]
+        ws = classify_weight(evaluation_spec("1 - 4*(x - 1)^2"), Interval(0.5, 1.5))
+        assert ws.symmetric
+        iv = Interval(0.0, 2.0)
+        for call in (
+            lambda: fejer(SQ, ws, iv),
+            lambda: fejer_trapezoid_gap_bounds(SQ, ws, SQ_BAND, iv),
+            lambda: complement_weight_chains(SQ, ws, SQ_BAND, iv),
+        ):
+            with pytest.raises(NegativeWeight, match="reaches -3.0"):
+                call()
 
     def test_is_the_equal_node_vasic_lackovic(self):
         g = evaluation_spec(PARABOLA_W)
@@ -142,7 +154,7 @@ class TestFejer:
 
 class TestGapEnclosures:
     def test_midpoint_gap_exp(self):
-        enc = hh_midpoint_gap_bounds(EXP_BAND, UNIT)
+        enc = gap_bounds(Rule.MIDPOINT_GAP, EXP_BAND, UNIT)
         assert enc.lower == pytest.approx(1.0 / 24.0, abs=1e-15)
         assert enc.upper == pytest.approx(E / 24.0, abs=1e-15)
         r = target_gap(Rule.MIDPOINT_GAP, EXP, UNIT)
@@ -150,7 +162,7 @@ class TestGapEnclosures:
         assert enclosure_contains(enc, r.value, tol=1e-10)
 
     def test_trapezoid_gap_exp(self):
-        enc = hh_trapezoid_gap_bounds(EXP_BAND, UNIT)
+        enc = gap_bounds(Rule.TRAPEZOID_GAP, EXP_BAND, UNIT)
         assert enc.lower == pytest.approx(1.0 / 12.0, abs=1e-15)
         assert enc.upper == pytest.approx(E / 12.0, abs=1e-15)
         r = target_gap(Rule.TRAPEZOID_GAP, EXP, UNIT)
@@ -158,7 +170,7 @@ class TestGapEnclosures:
         assert enclosure_contains(enc, r.value, tol=1e-10)
 
     def test_chord_gap_midpoint_lambda(self):
-        enc = chord_gap_bounds(EXP_BAND, UNIT, Lambda(0.5))
+        enc = gap_bounds(Rule.CHORD_GAP, EXP_BAND, UNIT, Lambda(0.5))
         assert enc.lower == pytest.approx(0.125, abs=1e-15)
         assert enc.upper == pytest.approx(E / 8.0, abs=1e-15)
         r = target_gap(Rule.CHORD_GAP, EXP, UNIT, lam=Lambda(0.5))
@@ -168,14 +180,14 @@ class TestGapEnclosures:
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_chord_gap_degenerate_lambda(self, lam):
-        enc = chord_gap_bounds(EXP_BAND, UNIT, Lambda(lam))
+        enc = gap_bounds(Rule.CHORD_GAP, EXP_BAND, UNIT, Lambda(lam))
         assert (enc.lower, enc.upper) == (0.0, 0.0)
         assert target_gap(Rule.CHORD_GAP, EXP, UNIT, lam=Lambda(lam)).value == pytest.approx(
             0.0, abs=1e-15
         )
 
     def test_symmetric_pair_gap_endpoints(self):
-        enc = symmetric_pair_gap_bounds(EXP_BAND, UNIT, Lambda(0.0))
+        enc = gap_bounds(Rule.SYMMETRIC_PAIR_GAP, EXP_BAND, UNIT, Lambda(0.0))
         assert enc.lower == pytest.approx(0.125, abs=1e-15)
         assert enc.upper == pytest.approx(E / 8.0, abs=1e-15)
         r = target_gap(Rule.SYMMETRIC_PAIR_GAP, EXP, UNIT, lam=Lambda(0.0))
@@ -183,7 +195,7 @@ class TestGapEnclosures:
         assert enclosure_contains(enc, r.value)
 
     def test_symmetric_pair_gap_collapses_at_center(self):
-        enc = symmetric_pair_gap_bounds(EXP_BAND, UNIT, Lambda(0.5))
+        enc = gap_bounds(Rule.SYMMETRIC_PAIR_GAP, EXP_BAND, UNIT, Lambda(0.5))
         assert (enc.lower, enc.upper) == (0.0, 0.0)
 
     def test_chord_needs_lambda(self):
@@ -193,6 +205,58 @@ class TestGapEnclosures:
     def test_weighted_kind_needs_weight(self):
         with pytest.raises(ParameterOutOfRange):
             target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, EXP, UNIT)
+
+
+def _closed_form_gap(rule, c, iv, lam):
+    """The six unweighted bands as separate closed forms, each with the
+    float operations of its own band function before the table."""
+    w = iv.width
+    if rule is Rule.MIDPOINT_GAP:
+        s = w**2 / 24.0
+    elif rule is Rule.TRAPEZOID_GAP:
+        s = w**2 / 12.0
+    elif rule is Rule.CHORD_GAP:
+        s = lam * (1.0 - lam) * w**2 / 2.0
+    elif rule is Rule.SYMMETRIC_PAIR_GAP:
+        s = (1.0 - 2.0 * lam) ** 2 * w**2 / 8.0
+    elif rule is Rule.BISECTION_MEAN:
+        return c.m * w**2 / 48.0, c.M * w**2 / 48.0
+    else:
+        return c.m * w**2 / 96.0, c.M * w**2 / 96.0
+    return c.m * s, c.M * s
+
+
+class TestGapTable:
+    @given(
+        rule=st.sampled_from([Rule.MIDPOINT_GAP, Rule.TRAPEZOID_GAP, Rule.CHORD_GAP,
+                              Rule.SYMMETRIC_PAIR_GAP, *BISECTION]),
+        m=st.floats(-1e6, 1e6),
+        spread=st.floats(0.0, 1e6),
+        a=st.floats(-1e3, 1e3),
+        width=st.floats(0.0, 1e3),
+        lam=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_closed_forms(self, rule, m, spread, a, width, lam):
+        c, iv = CurvatureBounds(m, m + spread), Interval(a, a + width)
+        enc = gap_bounds(rule, c, iv, Lambda(lam))
+        assert (enc.lower, enc.upper) == _closed_form_gap(rule, c, iv, lam)
+        assert enc.source_rule is rule
+
+    @pytest.mark.parametrize("rule", [Rule.HERMITE_HADAMARD, Rule.WEIGHTED_MIDPOINT_GAP])
+    def test_rejects_a_rule_outside_the_table(self, rule):
+        with pytest.raises(ParameterOutOfRange, match="not an unweighted gap rule"):
+            gap_bounds(rule, EXP_BAND, UNIT, Lambda(0.5))
+
+    @pytest.mark.parametrize("rule", [Rule.CHORD_GAP, Rule.SYMMETRIC_PAIR_GAP])
+    def test_lambda_rule_needs_lambda(self, rule):
+        with pytest.raises(ParameterOutOfRange, match="needs lambda"):
+            gap_bounds(rule, EXP_BAND, UNIT)
+
+    @pytest.mark.parametrize("rule", [Rule.MIDPOINT_GAP, *BISECTION])
+    def test_collapses_on_a_degenerate_interval(self, rule):
+        enc = gap_bounds(rule, EXP_BAND, Interval(1.0, 1.0))
+        assert (enc.lower, enc.upper) == (0.0, 0.0)
 
 
 class TestWeightedGaps:
@@ -219,7 +283,7 @@ class TestWeightedGaps:
     def test_unit_weight_matches_unweighted_scaled(self):
         one = evaluation_spec("1")
         trap = fejer_trapezoid_gap_bounds(EXP, one, EXP_BAND, UNIT)
-        plain = hh_trapezoid_gap_bounds(EXP_BAND, UNIT)
+        plain = gap_bounds(Rule.TRAPEZOID_GAP, EXP_BAND, UNIT)
         # moment of the unit weight is w³/6, so the weighted band is
         # w·(band of the unweighted gap)
         assert trap.lower == pytest.approx(plain.lower, abs=1e-12)
@@ -258,12 +322,12 @@ class TestComplementChains:
 
 class TestBisection:
     def test_exp_frozen_targets(self):
-        e1, e2 = bisection_bounds(EXP_BAND, UNIT)
+        e1, e2 = (gap_bounds(r, EXP_BAND, UNIT) for r in BISECTION)
         assert e1.lower == pytest.approx(1.0 / 48.0, abs=1e-15)
         assert e1.upper == pytest.approx(E / 48.0, abs=1e-15)
         assert e2.lower == pytest.approx(1.0 / 96.0, abs=1e-15)
         assert e2.upper == pytest.approx(E / 96.0, abs=1e-15)
-        t1, t2 = target_bisection(EXP, UNIT)
+        t1, t2 = (target_gap(r, EXP, UNIT) for r in BISECTION)
         assert t1.value == pytest.approx(0.035649264005780168, abs=1e-11)
         assert t2.value == pytest.approx(0.017769111808837001, abs=1e-11)
         assert enclosure_contains(e1, t1.value, tol=1e-10)
@@ -272,18 +336,18 @@ class TestBisection:
     def test_quarter_point_band_must_use_upper_curvature(self):
         # exp on [0, 1]: the true gap exceeds m w²/96, so an upper bound
         # built from the lower curvature constant would be violated
-        _, t2 = target_bisection(EXP, UNIT)
+        _, t2 = (target_gap(r, EXP, UNIT) for r in BISECTION)
         assert t2.value > EXP_BAND.m / 96.0 + 1e-3
 
     def test_square_is_tight(self):
-        e1, e2 = bisection_bounds(SQ_BAND, UNIT)
-        t1, t2 = target_bisection(SQ, UNIT)
+        e1, e2 = (gap_bounds(r, SQ_BAND, UNIT) for r in BISECTION)
+        t1, t2 = (target_gap(r, SQ, UNIT) for r in BISECTION)
         assert t1.value == pytest.approx(e1.lower, abs=1e-13)
         assert t2.value == pytest.approx(e2.lower, abs=1e-13)
         assert e1.width == pytest.approx(0.0, abs=1e-15)
 
     def test_rules_tagged(self):
-        e1, e2 = bisection_bounds(SQ_BAND, UNIT)
+        e1, e2 = (gap_bounds(r, SQ_BAND, UNIT) for r in BISECTION)
         assert e1.source_rule is Rule.BISECTION_MEAN
         assert e2.source_rule is Rule.BISECTION_QUARTER
 
@@ -454,7 +518,7 @@ class TestTargets:
         assert err_f > 0.0
         assert target_gap(Rule.MIDPOINT_GAP, EXP, iv).error_estimate == err_f / 4.0
         assert target_gap(Rule.TRAPEZOID_GAP, EXP, iv).error_estimate == err_f / 4.0
-        assert [t.error_estimate for t in target_bisection(EXP, iv)] == [err_f / 4.0] * 2
+        assert [target_gap(r, EXP, iv).error_estimate for r in BISECTION] == [err_f / 4.0] * 2
         g = evaluation_spec("exp(0 - (x - 2)^2)")
         err_g = integrate(g, iv).error_estimate
         err_fg = integrate(lambda t: EXP(t) * g(t), iv).error_estimate
@@ -472,7 +536,8 @@ class TestTargets:
             lambda: target_integral_mean(SQ, point),
             lambda: target_gap(Rule.MIDPOINT_GAP, SQ, point),
             lambda: target_gap(Rule.TRAPEZOID_GAP, SQ, point),
-            lambda: target_bisection(SQ, point),
+            lambda: target_gap(Rule.BISECTION_MEAN, SQ, point),
+            lambda: target_gap(Rule.BISECTION_QUARTER, SQ, point),
         ):
             with pytest.raises(ParameterOutOfRange, match="needs a non-degenerate interval"):
                 target()

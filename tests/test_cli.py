@@ -175,7 +175,9 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)[0]["curvature_provenance"] == "user-supplied"
 
-    @pytest.mark.parametrize("rule", ["midpoint-gap", "trapezoid-gap"])
+    @pytest.mark.parametrize(
+        "rule", ["midpoint-gap", "trapezoid-gap", "bisection-mean", "bisection-quarter"]
+    )
     def test_degenerate_interval_gap_exits_1(self, capsys, rule):
         code, out, err = run_cli(
             capsys, "bounds", "--f", "x^2", "--a", "1", "--b", "1", "--rule", rule
@@ -183,6 +185,15 @@ class TestBounds:
         assert code == 1
         assert out == ""
         assert err == f"error: {rule} needs a non-degenerate interval\n"
+
+    @pytest.mark.parametrize("rule", ["chord-gap", "midpoint-gap"])
+    def test_overflowing_width_exits_1(self, capsys, rule):
+        code, out, err = run_cli(
+            capsys, "bounds", "--f", "x^2", "--a=-1e308", "--b=1e308", "--rule", rule
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: width overflows: [-1e+308, 1e+308]\n"
 
     def test_require_exact_refuses_heuristic_band(self, capsys):
         code, out, err = run_cli(

@@ -40,6 +40,11 @@ class TestInterval:
         with pytest.raises(InvalidInterval):
             Interval(a, b)
 
+    def test_rejects_an_overflowing_width(self):
+        with pytest.raises(InvalidInterval, match="width overflows"):
+            Interval(-1e308, 1e308)
+        assert Interval(-8e307, 8e307).width == 1.6e308
+
     def test_frozen(self):
         iv = Interval(0.0, 1.0)
         with pytest.raises(AttributeError):

@@ -353,6 +353,22 @@ class TestClassifyWeight:
             classify_weight(g, UNIT)
             assert g.calls == calls, text
 
+    def test_remembered_per_interval(self, monkeypatch):
+        g = evaluation_spec("1 + x^2")
+        ws = classify_weight(g, UNIT)
+        other = classify_weight(g, Interval(-1.0, 1.0))
+        assert (ws.center, ws.symmetric, other.center, other.symmetric) == (0.5, False, 0.0, True)
+        monkeypatch.setattr(quadrature, "_at", None)  # a memo hit samples nothing
+        assert classify_weight(g, UNIT) == ws
+        # the memo holds no spec, so g dies without the cycle collector
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g, ws, other
+            assert ref() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize(
         "text", ["0.7", "x", "1 - x", "1 - abs(2*x - 1)", "x*(1 - x)*(1 + x)", "2*x"]
     )
