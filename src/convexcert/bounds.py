@@ -219,31 +219,41 @@ def fejer(
 class _Gap(NamedTuple):
     label: str  # the operation name in falsification reports
     description: str
-    scale: Callable[[float, float | None], float]  # s(w, λ)
+    scale: Callable[[float, float | None], float]  # s from (w², λ)
     divisor: float = 1.0
     lam: bool = False
 
 
 # The six unweighted gaps, in registry order; each band is (m·s/d, M·s/d), see _band.
 _GAPS: dict[Rule, _Gap] = {
-    Rule.MIDPOINT_GAP: _Gap("hh_midpoint_gap_bounds", "midpoint gap", lambda w, lam: w**2 / 24.0),
-    Rule.TRAPEZOID_GAP: _Gap("hh_trapezoid_gap_bounds", "trapezoid gap", lambda w, lam: w**2 / 12.0),
+    Rule.MIDPOINT_GAP: _Gap("hh_midpoint_gap_bounds", "midpoint gap", lambda w2, lam: w2 / 24.0),
+    Rule.TRAPEZOID_GAP: _Gap("hh_trapezoid_gap_bounds", "trapezoid gap", lambda w2, lam: w2 / 12.0),
     Rule.CHORD_GAP: _Gap(
-        "chord_gap_bounds", "chord gap", lambda w, lam: lam * (1.0 - lam) * w**2 / 2.0, lam=True
+        "chord_gap_bounds", "chord gap", lambda w2, lam: lam * (1.0 - lam) * w2 / 2.0, lam=True
     ),
     Rule.SYMMETRIC_PAIR_GAP: _Gap(
         "symmetric_pair_gap_bounds",
         "symmetric pair gap",
-        lambda w, lam: (1.0 - 2.0 * lam) ** 2 * w**2 / 8.0,
+        lambda w2, lam: (1.0 - 2.0 * lam) ** 2 * w2 / 8.0,
         lam=True,
     ),
     Rule.BISECTION_MEAN: _Gap(
-        "bisection_bounds_mean", "trapezoid-vs-mean bisection gap", lambda w, lam: w**2, 48.0
+        "bisection_bounds_mean", "trapezoid-vs-mean bisection gap", lambda w2, lam: w2, 48.0
     ),
     Rule.BISECTION_QUARTER: _Gap(
-        "bisection_bounds_quarter", "mean-vs-quarter-points bisection gap", lambda w, lam: w**2, 96.0
+        "bisection_bounds_quarter", "mean-vs-quarter-points bisection gap", lambda w2, lam: w2, 96.0
     ),
 }
+
+
+def _width_power(w: float, k: int, what: str) -> float:
+    """``w**k`` for the width w of an interval.  ``**`` raises
+    OverflowError beyond the float range; that raises ParameterOutOfRange
+    naming ``what`` and the width instead."""
+    try:
+        return w**k
+    except OverflowError:
+        raise ParameterOutOfRange(f"{what}: the width {w} is too large, w**{k} overflows") from None
 
 
 def gap_bounds(
@@ -269,8 +279,8 @@ def gap_bounds(
     [0, 1]).  On a degenerate interval every band collapses to (0, 0).
 
     Raises:
-        ParameterOutOfRange: for a rule outside the six, or for the
-            chord and symmetric-pair gaps without ``lam``.
+        ParameterOutOfRange: for a rule outside the six, for the chord
+            and symmetric-pair gaps without ``lam``, or when w² overflows.
     """
     gap = _GAPS.get(rule)
     if gap is None:
@@ -280,7 +290,8 @@ def gap_bounds(
     lv = lam.value if gap.lam else None
     at = "" if lv is None else f" at lambda={lv}"
     what = f"{gap.description}{at} on [{interval.a}, {interval.b}]"
-    return _band(c, gap.scale(interval.width, lv), what, rule, gap.divisor)
+    w2 = _width_power(interval.width, 2, rule.value)
+    return _band(c, gap.scale(w2, lv), what, rule, gap.divisor)
 
 
 def fejer_trapezoid_gap_bounds(
@@ -362,9 +373,10 @@ def complement_weight_chains(
     G = _integral(ws.function, interval, tol, "integral of the weight")
     FG = _oracle(integrate(f, interval, tol, ws.function), "integral of f*g")
     P = max(_oracle(moment_ab(ws.function, interval, tol), "endpoint moment"), 0.0)
-    left1 = w * avg - F - c.m * w**3 / 12.0
+    w3 = _width_power(w, 3, "complement chains")
+    left1 = w * avg - F - c.m * w3 / 12.0
     mid1 = avg * G - FG - 0.5 * c.m * P
-    left2 = c.M * w**3 / 12.0 - w * avg + F
+    left2 = c.M * w3 / 12.0 - w * avg + F
     mid2 = 0.5 * c.M * P - avg * G + FG
     return (left1, mid1, 0.0), (left2, mid2, 0.0)
 
@@ -505,14 +517,15 @@ def refined_gap_chains(
     w = interval.width
     wx = x - interval.a
     g_ab = _gaps(f, interval, tol, trapezoid=False)[1]
-    if x == interval.a:
+    g_ax = None if x == interval.a else _gaps(f, Interval(interval.a, x), tol, trapezoid=False)[1]
+    w2 = _width_power(w, 2, "refined chains")  # wx <= w, so wx**2 is finite too
+    if g_ax is None:
         second_a = second_b = 0.0
     else:
-        g_ax = _gaps(f, Interval(interval.a, x), tol, trapezoid=False)[1]
         second_a = rho * (g_ax - c.m * wx**2 / 24.0)
         second_b = rho * (c.M * wx**2 / 8.0 - g_ax)
-    pair_a = (g_ab - c.m * w**2 / 24.0, second_a)
-    pair_b = (c.M * w**2 / 8.0 - g_ab, second_b)
+    pair_a = (g_ab - c.m * w2 / 24.0, second_a)
+    pair_b = (c.M * w2 / 8.0 - g_ab, second_b)
     return pair_a, pair_b
 
 

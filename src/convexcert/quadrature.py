@@ -10,14 +10,17 @@ QUADPACK's rescaling, which can shrink it below the real gap).  A panel
 is accepted when its error is at most the tolerance *pro-rated by panel
 width*, so the accepted errors sum to at most the requested absolute
 tolerance, or when it is at most ``50·ε·∫|f|`` over the panel, the
-rounding floor below which no further split can resolve it.  Any
+rounding floor below which no further split can resolve it; ``∫|f|``
+is computed only for a panel that misses the tolerance test.  Any
 other panel is halved.  The result's error estimate is the sum of the
 panel errors.  Hitting the depth cap never raises — the panel is
 accepted and the result carries ``converged=False``, and callers
 decide (the falsification harness, for instance, records such checks
 as inconclusive rather than failed).  A panel whose value is not
 finite (an integrand that overflows or returns NaN) is accepted
-unconverged at once, since no split can resolve it.  A
+unconverged at once, since no split can resolve it.  The 8 starting
+panels of an interval and their Kronrod nodes are built once and
+shared by every integrand there.  A
 :class:`~convexcert.expr.FunctionSpec` is evaluated in batches, and
 the node values of its 8 starting panels on an interval are kept in
 its memo, shared by every integral and moment there.
@@ -32,9 +35,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import suppress
-from functools import partial
+from functools import lru_cache, partial
 from operator import mul
 
 from .core import (
@@ -120,7 +123,8 @@ def integrate(
     ``|K15 - G7| <= tol * w / width`` (``tol`` is absolute for the whole
     interval) or once ``|K15 - G7|`` is at most ``50·ε`` times the K15
     integral of ``|f|`` over the panel, the rounding floor that lets
-    large-magnitude integrands converge.  Otherwise it is halved; a panel
+    large-magnitude integrands converge; that integral is computed only
+    for a panel that misses the first test.  Otherwise it is halved; a panel
     at :data:`MAX_DEPTH` halvings, or with a non-finite value, is accepted
     unconverged.
 
@@ -128,9 +132,11 @@ def integrate(
     too), the result is remembered in ``f``'s memo under (g, interval,
     tol), so integrating the same pair again returns the identical
     result, evaluation count included, without evaluating anything.
-    A spec is evaluated in batches, and the 120 node values of its 8
-    starting panels on an interval are remembered too, so ``∫f``, ``∫g``
-    and ``∫f·g`` on one interval evaluate each of f and g there once.
+    The starting panels and their 120 nodes are built once per interval
+    and shared by every integrand.  A spec is evaluated in batches, and
+    its 120 node values on an interval are remembered too, so ``∫f``,
+    ``∫g`` and ``∫f·g`` on one interval evaluate each of f and g there
+    once.
     Plain callables are integrated afresh, point by point, on every call.
 
     Returns:
@@ -147,43 +153,60 @@ def integrate(
     return _remember(owner, ("integrate", g, a, b, tol), lambda: _adaptive(_integrand(f, g), a, b, tol))
 
 
-# An integrand in batch form: (panels, floor) -> its values at the 15
-# Kronrod nodes of each panel, where floor is the interval (a, b) when the
-# panels are the 8 starting panels of [a, b], and None for a split panel.
-_Panels = list[tuple[float, float]]
-_Sampler = Callable[[_Panels, tuple[float, float] | None], list[float]]
+# An integrand in batch form: (nodes, floor) -> its values at the nodes,
+# the 15 Kronrod nodes of each panel in turn, where floor is the interval
+# (a, b) when the panels are the 8 starting panels of [a, b], and None for
+# a split panel.
+_Sampler = Callable[[Sequence[float], tuple[float, float] | None], list[float]]
 
 
-def _nodes(panels: _Panels) -> list[float]:
+def _nodes(panels: Iterable[tuple[float, float]]) -> list[float]:
     """The 15 Kronrod nodes of each panel, panel after panel."""
     halves = ((0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in panels)
     return [center + half * x for center, half in halves for x in _NODES]
 
 
-def _at(f: Callable[[float], float], xs: list[float]) -> list[float]:
+@lru_cache(maxsize=8, typed=True)
+def _floor(a: float, b: float, count: int) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+    """The ``count`` equal starting panels of [a, b] and their Kronrod
+    nodes, shared by every integrand on the interval.  Numbers only, so
+    no spec outlives its memo here; typed, so an int end, whose
+    subtraction is exact, never shares a float's entry.  An end at -0.0 shares the
+    entry of 0.0: the edges then differ at most in the sign of a zero,
+    which no arithmetic of the loop can tell, and the nodes are the same,
+    as the ("floor", a, b) memo key assumes."""
+    step = (b - a) / count
+    edges = [a + k * step for k in range(count)] + [b]
+    starting = tuple(zip(edges, edges[1:]))
+    return starting, tuple(_nodes(starting))
+
+
+def _at(f: Callable[[float], float], xs: Sequence[float]) -> list[float]:
     """f at each of ``xs``: one batch for a spec, point by point for any other callable."""
     return f._values(xs) if isinstance(f, FunctionSpec) else [f(x) for x in xs]
 
 
-def _sample(f: Callable[[float], float], panels: _Panels, floor: tuple[float, float] | None) -> list[float]:
-    """f at the nodes of the panels; a spec remembers a floor, never a
-    split panel, so its memo stays bounded."""
+def _sample(
+    f: Callable[[float], float], xs: Sequence[float], floor: tuple[float, float] | None
+) -> list[float]:
+    """f at the nodes ``xs``; a spec remembers a floor, never a split
+    panel, so its memo stays bounded."""
     if floor is None:
-        return _at(f, _nodes(panels))
-    return _remember(f, ("floor", *floor), lambda: _at(f, _nodes(panels)))
+        return _at(f, xs)
+    return _remember(f, ("floor", *floor), lambda: _at(f, xs))
 
 
 def _integrand(f: Callable[[float], float], g: Callable[[float], float] | None) -> _Sampler:
     if g is None:
         return partial(_sample, f)
     if not (isinstance(f, FunctionSpec) and isinstance(g, FunctionSpec)):
-        return lambda panels, floor: [f(t) * g(t) for t in _nodes(panels)]
+        return lambda xs, floor: [f(t) * g(t) for t in xs]
 
-    def product(panels: _Panels, floor: tuple[float, float] | None) -> list[float]:
+    def product(xs: Sequence[float], floor: tuple[float, float] | None) -> list[float]:
         try:
-            return list(map(mul, _sample(f, panels, floor), _sample(g, panels, floor)))
+            return list(map(mul, _sample(f, xs, floor), _sample(g, xs, floor)))
         except DomainError:  # point by point, so the factor that fails at the first node raises
-            return [f(t) * g(t) for t in _nodes(panels)]
+            return [f(t) * g(t) for t in xs]
 
     return product
 
@@ -194,13 +217,10 @@ def _adaptive(sample: _Sampler, a: float, b: float, tol: float) -> QuadResult:
         return QuadResult(0.0, 0.0, 0, True)
 
     width = b - a
-    count = 1 << _MIN_DEPTH
-    step = width / count
-    edges = [a + k * step for k in range(count)] + [b]
-    starting = list(zip(edges, edges[1:]))
+    starting, xs = _floor(a, b, 1 << _MIN_DEPTH)
     n = len(_NODES)
     try:
-        floor = sample(starting, (a, b))
+        floor = sample(xs, (a, b))
     except DomainError:  # evaluate panel by panel instead, so the first failure in panel order raises
         floor = None
     # (lo, hi, depth, node values, or None while not yet evaluated)
@@ -215,12 +235,12 @@ def _adaptive(sample: _Sampler, a: float, b: float, tol: float) -> QuadResult:
     while stack:
         lo, hi, depth, fx = stack.pop()
         if fx is None:
-            fx = sample([(lo, hi)], None)
-        value, err, mass = _kronrod(fx, lo, hi)
+            fx = sample(_nodes([(lo, hi)]), None)
+        value, err = _kronrod(fx, lo, hi)
         evals += n
         if not math.isfinite(value):
             converged = False
-        elif not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * mass):
+        elif not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * _mass(fx, lo, hi)):
             if depth < MAX_DEPTH:
                 mid = 0.5 * (lo + hi)
                 stack.append((mid, hi, depth + 1, None))
@@ -235,13 +255,18 @@ def _adaptive(sample: _Sampler, a: float, b: float, tol: float) -> QuadResult:
         return QuadResult(sum(values), sum(errors), evals, False)
 
 
-def _kronrod(fx: list[float], lo: float, hi: float) -> tuple[float, float, float]:
-    """(K15 value, |K15 - G7|, K15 value of |f|) of one panel from its 15 node values."""
+def _kronrod(fx: list[float], lo: float, hi: float) -> tuple[float, float]:
+    """(K15 value, |K15 - G7|) of one panel from its 15 node values."""
     half = 0.5 * (hi - lo)
     k15 = sum(map(mul, _K15, fx))
     g7 = sum(map(mul, _G7, fx[1::2]))
-    mass = sum(map(mul, _K15, map(abs, fx)))
-    return half * k15, abs(half * (k15 - g7)), half * mass
+    return half * k15, abs(half * (k15 - g7))
+
+
+def _mass(fx: list[float], lo: float, hi: float) -> float:
+    """The K15 value of |f| over one panel, read only when the panel
+    misses the tolerance test."""
+    return 0.5 * (hi - lo) * sum(map(mul, _K15, map(abs, fx)))
 
 
 def _moment(
@@ -250,8 +275,8 @@ def _moment(
     """∫ factor(t, g(t)) dt over the interval; g's floor is shared with its other integrals."""
     check_tolerance(tol)
 
-    def sample(panels: _Panels, floor: tuple[float, float] | None) -> list[float]:
-        return list(map(factor, _nodes(panels), _sample(g, panels, floor)))
+    def sample(xs: Sequence[float], floor: tuple[float, float] | None) -> list[float]:
+        return list(map(factor, xs, _sample(g, xs, floor)))
 
     return _adaptive(sample, interval.a, interval.b, tol)
 
@@ -365,8 +390,11 @@ def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
 
 
 def _weight_flags(g: FunctionSpec, interval: Interval) -> tuple[bool, Monotonicity, bool]:
+    """The flags from one grid sample, whose steps also answer
+    :func:`monotone_profile` on the interval afterwards."""
     values = _at(g, _grid(interval))
     lo, hi = min(values), max(values)
     if lo < -_SLACK:
         raise NegativeWeight(f"weight {g.text!r} reaches {lo} on the interval")
-    return _mirrors_match(g, interval, values), _monotonicity(*_steps(values)), hi <= 1.0 + _SLACK
+    steps = _remember(g, ("monotone_profile", interval.a, interval.b), lambda: _steps(values))
+    return _mirrors_match(g, interval, values), _monotonicity(*steps), hi <= 1.0 + _SLACK

@@ -253,6 +253,12 @@ class TestGapTable:
         with pytest.raises(ParameterOutOfRange, match="needs lambda"):
             gap_bounds(rule, EXP_BAND, UNIT)
 
+    @pytest.mark.parametrize("rule", [Rule.MIDPOINT_GAP, Rule.CHORD_GAP, *BISECTION])
+    def test_width_whose_square_overflows_is_out_of_range(self, rule):
+        message = rf"{rule.value}: the width 1e\+200 .* w\*\*2 overflows"
+        with pytest.raises(ParameterOutOfRange, match=message):
+            gap_bounds(rule, EXP_BAND, Interval(0.0, 1e200), Lambda(0.5))
+
     @pytest.mark.parametrize("rule", [Rule.MIDPOINT_GAP, *BISECTION])
     def test_collapses_on_a_degenerate_interval(self, rule):
         enc = gap_bounds(rule, EXP_BAND, Interval(1.0, 1.0))
@@ -318,6 +324,12 @@ class TestComplementChains:
     def test_asymmetric_weight_rejected(self):
         with pytest.raises(SymmetryViolated):
             complement_weight_chains(EXP, evaluation_spec("x"), EXP_BAND, UNIT)
+
+    def test_width_whose_cube_overflows_is_out_of_range(self):
+        # w³ overflows on [0, 1e103], but the endpoint moment w³/12 does not
+        flat, iv = CurvatureBounds(0.0, 0.0), Interval(0.0, 1e103)
+        with pytest.raises(ParameterOutOfRange, match=r"complement chains: .* w\*\*3 overflows"):
+            complement_weight_chains(function_spec("1"), evaluation_spec("0.5"), flat, iv)
 
 
 class TestBisection:
@@ -458,6 +470,11 @@ class TestSubintervalMonotonicity:
         assert pair_b[1] == pytest.approx(0.42703572730370715, abs=1e-10)
         assert pair_a[0] >= pair_a[1] >= 0.0
         assert pair_b[0] >= pair_b[1] >= 0.0
+
+    def test_refined_chains_width_whose_square_overflows(self):
+        flat, iv = CurvatureBounds(0.0, 0.0), Interval(0.0, 1e200)
+        with pytest.raises(ParameterOutOfRange, match=r"refined chains: the width 1e\+200 .* w\*\*2"):
+            refined_gap_chains(function_spec("1"), flat, iv, 5e199)
 
     def test_refined_chains_tight_for_quadratic(self):
         pair_a, _ = refined_gap_chains(SQ, SQ_BAND, Interval(1.0, 3.0), 2.0)

@@ -244,6 +244,16 @@ class TestBounds:
         assert code == 1
         assert "error:" in err
 
+    # w² of a width of 1e200 leaves the float range; it used to escape as an
+    # OverflowError traceback
+    @pytest.mark.parametrize("rule", ["midpoint-gap", "all"])
+    def test_width_whose_square_overflows_exits_1(self, capsys, rule):
+        code, out, err = run_cli(
+            capsys, "bounds", "--f", "x^2", "--a", "0", "--b", "1e200", "--rule", rule
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: midpoint-gap: the width 1e+200 is too large, w**2 overflows\n"
+
     def test_json_is_deterministic(self, capsys):
         args = ("bounds", "--f", "exp(x)", "--a", "0", "--b", "1", "--json")
         _, out1, _ = run_cli(capsys, *args)

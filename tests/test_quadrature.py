@@ -135,6 +135,30 @@ class TestIntegrate:
         assert MAX_DEPTH == 50
 
 
+# (value.hex(), error_estimate.hex(), evaluations, converged) of each case,
+# so that a change to the oracle shows which bits it moves, if any
+PINNED = {
+    "floor": ("exp(x)", UNIT, 1e-10, 50, ("0x1.b7e151628aed3p+0", "0x1.0000000000000p-52", 120, True)),
+    "split": ("exp(30*x)", UNIT, 1e-10, 50, ("0x1.4bc07831e0764p+38", "0x1.25a5106000000p-25", 330, True)),
+    "rounding-floor": ("5e307 + x^2", Interval(0.0, 16.0), 1e-10, 50,
+                       ("inf", "0x1.0000000000000p+974", 120, False)),
+    "depth-cap": ("log(x)", UNIT, 1e-12, 50, ("-0x1.fffffffffffffp-1", "0x1.6d37bec56f700p-52", 2940, False)),
+    "not-finite": ("exp(1000*x)", UNIT, 1e-10, 50, ("inf", "nan", 9540, False)),
+    "overflowing-sum": ("x^2", Interval(0.0, 1e200), 1e-10, 50, ("inf", "nan", 120, False)),
+    "plain-callable": (lambda t: abs(math.sin(20.0 * t)), UNIT, 1e-10, 50,
+                       ("0x1.425a64b5d7bcbp-1", "0x1.9bd81fcb49324p-48", 4590, True)),
+    "max-depth-5": ("log(x)", UNIT, 1e-12, 5, ("-0x1.fff9111a86659p-1", "0x1.398996e8fd960p-12", 240, False)),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_results_are_pinned_to_the_bit(monkeypatch, case):
+    f, interval, tol, depth, expected = PINNED[case]
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", depth)
+    r = integrate(function_spec(f) if isinstance(f, str) else f, interval, tol)
+    assert (r.value.hex(), r.error_estimate.hex(), r.evaluations, r.converged) == expected
+
+
 # integrand, its mpmath form, the interval with the points where the
 # mpmath reference splits it, and whether the oracle converges (the
 # error per unit width of log near 0 never shrinks, so it hits the cap)
@@ -253,6 +277,22 @@ class TestSharedNodeValues:
         assert list(kept) == [("floor", 0.0, 1.0)]
         assert all(len(v) <= 120 for v in kept.values())
 
+    def test_floor_nodes_are_built_once_per_interval(self, monkeypatch):
+        quadrature._floor.cache_clear()
+        builds = _count(monkeypatch, "_nodes")
+        integrate(function_spec("exp(x)"), UNIT)
+        integrate(evaluation_spec("1 + x^2"), UNIT)
+        moment_ab(evaluation_spec("x"), UNIT)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "text, interval, computed", [("exp(x)", UNIT, False), ("5e307 + x^2", Interval(0.0, 16.0), True)]
+    )
+    def test_mass_only_for_panels_that_miss_the_tolerance(self, monkeypatch, text, interval, computed):
+        masses = _count(monkeypatch, "_mass")
+        integrate(function_spec(text), interval)
+        assert bool(masses) is computed
+
     def test_product_raises_the_factor_that_fails_at_the_first_node(self):
         f, g = function_spec("(0.33 - x)^0.5"), evaluation_spec("(0.3 - x)^0.5")
         # f's values alone fail too, at a later node than g's
@@ -368,6 +408,12 @@ class TestClassifyWeight:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_profile_after_classification_samples_nothing(self, monkeypatch):
+        g = evaluation_spec("1 + x^2")
+        classify_weight(g, UNIT)
+        monkeypatch.setattr(quadrature, "_at", None)
+        assert monotone_profile(g, UNIT) == (True, False)
 
     @pytest.mark.parametrize(
         "text", ["0.7", "x", "1 - x", "1 - abs(2*x - 1)", "x*(1 - x)*(1 + x)", "2*x"]
