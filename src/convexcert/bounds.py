@@ -23,6 +23,7 @@ the falsification harness both iterate it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -44,6 +45,7 @@ from .core import (
 )
 from .expr import FunctionSpec, require_convex
 from .quadrature import (
+    _integral_to,
     classify_weight,
     integrate,
     moment_ab,
@@ -129,9 +131,21 @@ def _symmetric_weight(g: WeightLike, interval: Interval) -> WeightSpec:
     return ws
 
 
+def _scaled(nodes: NodeWeights) -> tuple[float, float]:
+    """(p, q) times the one power of two that puts max(p, q) in [0.5, 1).
+
+    The ratios of p, q and p + q are unchanged, as binary scaling is
+    exact in the normal range, but p + q can no longer overflow, nor a
+    product with a subnormal weight underflow.
+    """
+    e = math.frexp(max(nodes.p, nodes.q))[1]
+    return math.ldexp(nodes.p, -e), math.ldexp(nodes.q, -e)
+
+
 def _barycentre(nodes: NodeWeights, interval: Interval) -> float:
     """A = (pa + qb)/(p + q); the midpoint when p = q."""
-    return (nodes.p * interval.a + nodes.q * interval.b) / (nodes.p + nodes.q)
+    p, q = _scaled(nodes)
+    return (p * interval.a + q * interval.b) / (p + q)
 
 
 def _window(nodes: NodeWeights, interval: Interval, y: float) -> Interval:
@@ -185,7 +199,7 @@ def _sandwich(
     with A = (pa + qb)/(p + q) and both integrals over the window, a
     subinterval of [a, b] centred at A.
     """
-    p, q = nodes.p, nodes.q
+    p, q = _scaled(nodes)
     G = max(_integral(ws.function, window, tol, "integral of the weight"), 0.0)
     lo = f(_barycentre(nodes, interval)) * G
     hi = (p * f(interval.a) + q * f(interval.b)) / (p + q) * G
@@ -413,7 +427,9 @@ def _endpoint_functional(
     if x == interval.a:
         return 0.0
     rule = Rule.WEIGHTED_TRAPEZOID_GAP if name == "h1" else Rule.WEIGHTED_MIDPOINT_GAP
-    return _oracle(target_gap(rule, f, Interval(interval.a, x), g=ws, tol=tol), name)
+    rg = _integral_to(ws.function, interval, x, tol)
+    rfg = _integral_to(f, interval, x, tol, ws.function)
+    return _oracle(_weighted_gap(rule, f, interval.a, x, rg, rfg), name)
 
 
 def h1_functional(
@@ -428,7 +444,9 @@ def h1_functional(
     [0, 1] gives h1(x) = -x³/12, strictly decreasing.  The value is
     computed for any convex f; the monotonicity guarantee is the
     caller's to invoke only on the valid domain.  Flat weights are
-    accepted (weakly monotone).
+    accepted (weakly monotone).  Both integrals over [a, x] are read
+    from the oracle's run over [a, b], so the points x of one interval
+    share a single run.
     """
     return _endpoint_functional("h1", f, g, interval, x, tol)
 
@@ -443,7 +461,8 @@ def h2_functional(
     [a, x]).  As with :func:`h1_functional`, convexity alone does not
     suffice (f(x) = -x with g(x) = x mirrors the counterexample), so
     the monotonicity guarantee applies only to nondecreasing f; the
-    value itself is computed for any convex f.
+    value itself is computed for any convex f.  As for h1, ∫ₐˣ is read
+    from the run over [a, b].
     """
     return _endpoint_functional("h2", f, g, interval, x, tol)
 
@@ -464,16 +483,18 @@ def _subinterval_rho(f: FunctionSpec, interval: Interval, x: float, degenerate: 
 
 
 def _gaps(
-    f: FunctionSpec, interval: Interval, tol: float, trapezoid: bool = True
+    f: FunctionSpec, interval: Interval, x: float, tol: float, trapezoid: bool = True
 ) -> tuple[float | None, float]:
-    """(trapezoid gap, midpoint gap) of f on the interval from one ∫f.
+    """(trapezoid gap, midpoint gap) of f on [a, x] from one ∫ₐˣ f, read
+    from the run over the interval [a, b] (its prefix when x < b).
 
     With ``trapezoid=False`` the first entry is None and f is not
     evaluated at the endpoints.
     """
-    mean = _integral(f, interval, tol, "integral of f") / interval.width
-    trap = 0.5 * (f(interval.a) + f(interval.b)) - mean if trapezoid else None
-    return trap, mean - f(interval.midpoint)
+    a = interval.a
+    mean = _oracle(_integral_to(f, interval, x, tol), "integral of f") / (x - a)
+    trap = 0.5 * (f(a) + f(x)) - mean if trapezoid else None
+    return trap, mean - f(0.5 * (a + x))
 
 
 def hh_gap_monotone(
@@ -484,11 +505,12 @@ def hh_gap_monotone(
     Returns ((T_ab, ρ·T_ax), (M_ab, ρ·M_ax)) with ρ = (x-a)/(b-a),
     where T and M are the trapezoid and midpoint gaps on the full
     interval and on [a, x].  For convex f each pair satisfies
-    first >= second >= 0.
+    first >= second >= 0.  Both gaps of an interval come from one ∫f,
+    and ∫ₐˣ f is read from the run over [a, b].
     """
     rho = _subinterval_rho(f, interval, x, "gap monotonicity needs a non-degenerate interval")
-    sub_trap, sub_mid = (0.0, 0.0) if x == interval.a else _gaps(f, Interval(interval.a, x), tol)
-    trap, mid = _gaps(f, interval, tol)
+    sub_trap, sub_mid = (0.0, 0.0) if x == interval.a else _gaps(f, interval, x, tol)
+    trap, mid = _gaps(f, interval, interval.b, tol)
     return (trap, rho * sub_trap), (mid, rho * sub_mid)
 
 
@@ -511,13 +533,14 @@ def refined_gap_chains(
     the chains arise from applying subinterval monotonicity to the
     shifted convex functions f - m x²/2 and (for B, with the M w²/8
     padding) M x²/2 - f, so the constants stay those of the full
-    interval.  For convex f: first >= second >= 0 in each pair.
+    interval.  For convex f: first >= second >= 0 in each pair.  As in
+    :func:`hh_gap_monotone`, ∫ₐˣ f is read from the run over [a, b].
     """
     rho = _subinterval_rho(f, interval, x, "refined chains need a non-degenerate interval")
     w = interval.width
     wx = x - interval.a
-    g_ab = _gaps(f, interval, tol, trapezoid=False)[1]
-    g_ax = None if x == interval.a else _gaps(f, Interval(interval.a, x), tol, trapezoid=False)[1]
+    g_ab = _gaps(f, interval, interval.b, tol, trapezoid=False)[1]
+    g_ax = None if x == interval.a else _gaps(f, interval, x, tol, trapezoid=False)[1]
     w2 = _width_power(w, 2, "refined chains")  # wx <= w, so wx**2 is finite too
     if g_ax is None:
         second_a = second_b = 0.0
@@ -554,7 +577,8 @@ def vasic_lackovic(
     p, q = weights.p, weights.q
     if y <= 0.0:
         raise ParameterOutOfRange(f"window half-width must be > 0, got {y}")
-    radius = interval.width * min(p, q) / (p + q)
+    ps, qs = _scaled(weights)
+    radius = interval.width * min(ps, qs) / (ps + qs)
     if y > radius:
         raise AdmissibilityViolated(
             f"half-width {y} exceeds admissible radius {radius} for (p, q) = ({p}, {q})"
@@ -634,13 +658,18 @@ def target_gap(
     if g is None:
         raise ParameterOutOfRange(f"{rule.value} needs a weight")
     gfn = _weight_function(g)
-    rg = integrate(gfn, interval, tol)
-    rfg = integrate(f, interval, tol, gfn)
+    return _weighted_gap(rule, f, a, b, integrate(gfn, interval, tol), integrate(f, interval, tol, gfn))
+
+
+def _weighted_gap(rule: Rule, f, a: float, b: float, rg: QuadResult, rfg: QuadResult) -> QuadResult:
+    """The weighted trapezoid or midpoint gap on [a, b] from rg = ∫g and
+    rfg = ∫fg over [a, b]; each error estimate is scaled by the
+    coefficient its integral carries."""
     if rule is Rule.WEIGHTED_TRAPEZOID_GAP:
         coef = 0.5 * (f(a) + f(b))
         val = coef * rg.value - rfg.value
     else:
-        coef = f(interval.midpoint)
+        coef = f(0.5 * (a + b))
         val = rfg.value - coef * rg.value
     err = abs(coef) * rg.error_estimate + rfg.error_estimate
     return QuadResult(val, err, rg.evaluations + rfg.evaluations, rg.converged and rfg.converged)

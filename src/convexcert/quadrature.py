@@ -23,7 +23,10 @@ panels of an interval and their Kronrod nodes are built once and
 shared by every integrand there.  A
 :class:`~convexcert.expr.FunctionSpec` is evaluated in batches, and
 the node values of its 8 starting panels on an interval are kept in
-its memo, shared by every integral and moment there.
+its memo, shared by every integral and moment there.  So are the
+accepted panels of each run: an integral over [a, x] inside an
+interval [a, b] is read from them as a prefix sum, plus one adaptive
+part-panel where x falls inside a panel.
 
 Every weight check — sign, ``[0, 1]`` range, symmetry and
 monotonicity — is sampled, not certified: it reads one grid of 101
@@ -35,10 +38,11 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import suppress
 from functools import lru_cache, partial
-from operator import mul
+from operator import itemgetter, mul
 
 from .core import (
     DomainError,
@@ -129,9 +133,13 @@ def integrate(
     unconverged.
 
     When ``f`` is a :class:`FunctionSpec` (and ``g``, if given, is one
-    too), the result is remembered in ``f``'s memo under (g, interval,
-    tol), so integrating the same pair again returns the identical
-    result, evaluation count included, without evaluating anything.
+    too), the run's accepted panels and its result are remembered in
+    ``f``'s memo under (g, interval, tol), so integrating the same pair
+    again returns the identical result, evaluation count included,
+    without evaluating anything, and an integral over [a, x] inside the
+    interval is read from the panels as a prefix sum (see
+    :func:`_integral_to`).  An integral over [a, x] asked of this
+    function is its own run: it never reads another interval's panels.
     The starting panels and their 120 nodes are built once per interval
     and shared by every integrand.  A spec is evaluated in batches, and
     its 120 node values on an interval are remembered too, so ``∫f``,
@@ -147,10 +155,57 @@ def integrate(
         some panel hit the depth cap or was not finite, or the sum left
         the float range (the value is then ``inf``).
     """
+    return _table(f, g, interval.a, interval.b, tol)[1]
+
+
+# An accepted panel: (right edge, K15 value, |K15 - G7|, converged, halvings of [a, b])
+_Panel = tuple[float, float, float, bool, int]
+
+
+def _table(
+    f: Callable[[float], float], g: Callable[[float], float] | None, a: float, b: float, tol: float
+) -> tuple[tuple[_Panel, ...], QuadResult]:
+    """The accepted panels of the run over [a, b], in order, and their
+    sum; remembered in ``f``'s memo like :func:`integrate`."""
     check_tolerance(tol)
-    a, b = interval.a, interval.b
     owner = f if g is None or isinstance(g, FunctionSpec) else None
-    return _remember(owner, ("integrate", g, a, b, tol), lambda: _adaptive(_integrand(f, g), a, b, tol))
+    return _remember(owner, ("panels", g, a, b, tol), lambda: _adaptive(_integrand(f, g), a, b, tol))
+
+
+def _integral_to(
+    f: Callable[[float], float],
+    interval: Interval,
+    x: float,
+    tol: float,
+    g: Callable[[float], float] | None = None,
+) -> QuadResult:
+    """∫ f (or f·g) over [a, x], for a <= x <= b, read from the panels
+    of the run over [a, b] as a prefix sum.
+
+    At x = b this is :func:`integrate` itself, at x = a zero.  Otherwise
+    the panels whose right edge is at most x are summed, and the one
+    panel that x cuts is replaced by an adaptive run over [edge, x],
+    started at that panel's depth, so :data:`MAX_DEPTH` still counts
+    halvings of [a, b], and accepted at the tolerance pro-rated over
+    [a, x].  Every panel read was accepted with an error at most
+    ``tol * w / (b - a) <= tol * w / (x - a)``, so ``tol`` holds
+    absolutely on [a, x].  The evaluation count is that of the [a, b]
+    run plus the part-panel's.
+    """
+    a, b = interval.a, interval.b
+    if x == b:
+        return integrate(f, interval, tol, g)
+    if x == a:
+        return QuadResult(0.0, 0.0, 0, True)
+    panels, whole = _table(f, g, a, b, tol)
+    k = bisect_right(panels, x, key=itemgetter(0))
+    edge = panels[k - 1][0] if k else a
+    read, evals = list(panels[:k]), whole.evaluations
+    if edge < x:
+        part, part_evals = _refine(_integrand(f, g), [(edge, x, panels[k][4], None)], tol, x - a)
+        read += part
+        evals += part_evals
+    return _sum(read, evals)
 
 
 # An integrand in batch form: (nodes, floor) -> its values at the nodes,
@@ -211,26 +266,34 @@ def _integrand(f: Callable[[float], float], g: Callable[[float], float] | None) 
     return product
 
 
-def _adaptive(sample: _Sampler, a: float, b: float, tol: float) -> QuadResult:
-    """The adaptive G7/K15 run behind :func:`integrate`."""
+def _adaptive(sample: _Sampler, a: float, b: float, tol: float) -> tuple[tuple[_Panel, ...], QuadResult]:
+    """The adaptive G7/K15 run behind :func:`integrate`: its accepted
+    panels, in order, and their sum."""
     if a == b:
-        return QuadResult(0.0, 0.0, 0, True)
+        return (), QuadResult(0.0, 0.0, 0, True)
 
-    width = b - a
     starting, xs = _floor(a, b, 1 << _MIN_DEPTH)
     n = len(_NODES)
     try:
         floor = sample(xs, (a, b))
     except DomainError:  # evaluate panel by panel instead, so the first failure in panel order raises
         floor = None
-    # (lo, hi, depth, node values, or None while not yet evaluated)
     stack = [
         (lo, hi, _MIN_DEPTH, None if floor is None else floor[k * n : (k + 1) * n])
         for k, (lo, hi) in enumerate(starting)
     ][::-1]
-    values: list[float] = []
-    errors: list[float] = []
-    converged = True
+    panels, evals = _refine(sample, stack, tol, b - a)
+    return tuple(panels), _sum(panels, evals)
+
+
+def _refine(
+    sample: _Sampler, stack: list[tuple[float, float, int, list[float] | None]], tol: float, width: float
+) -> tuple[list[_Panel], int]:
+    """Accept or halve the panels of ``stack`` (lo, hi, depth, node values
+    or None while not yet evaluated), last first, against ``tol`` pro-rated
+    over ``width``; returns the accepted panels in order and the evaluations."""
+    n = len(_NODES)
+    panels: list[_Panel] = []
     evals = 0
     while stack:
         lo, hi, depth, fx = stack.pop()
@@ -238,17 +301,23 @@ def _adaptive(sample: _Sampler, a: float, b: float, tol: float) -> QuadResult:
             fx = sample(_nodes([(lo, hi)]), None)
         value, err = _kronrod(fx, lo, hi)
         evals += n
-        if not math.isfinite(value):
-            converged = False
-        elif not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * _mass(fx, lo, hi)):
+        converged = math.isfinite(value)
+        if converged and not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * _mass(fx, lo, hi)):
             if depth < MAX_DEPTH:
                 mid = 0.5 * (lo + hi)
                 stack.append((mid, hi, depth + 1, None))
                 stack.append((lo, mid, depth + 1, None))
                 continue
             converged = False
-        values.append(value)
-        errors.append(err)
+        panels.append((hi, value, err, converged, depth))
+    return panels, evals
+
+
+def _sum(panels: Sequence[_Panel], evals: int) -> QuadResult:
+    """The QuadResult of accepted panels: sums of their values and errors."""
+    values = [p[1] for p in panels]
+    errors = [p[2] for p in panels]
+    converged = all(p[3] for p in panels)
     try:
         return QuadResult(math.fsum(values), math.fsum(errors), evals, converged)
     except (OverflowError, ValueError):  # a sum beyond the float range, or inf + (-inf)
@@ -278,7 +347,7 @@ def _moment(
     def sample(xs: Sequence[float], floor: tuple[float, float] | None) -> list[float]:
         return list(map(factor, xs, _sample(g, xs, floor)))
 
-    return _adaptive(sample, interval.a, interval.b, tol)
+    return _adaptive(sample, interval.a, interval.b, tol)[1]
 
 
 def moment_ab(

@@ -361,9 +361,10 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
     # every registry rule; λ rules over the grid, the window rule with
     # its own weight drawn on the window
     problem = bd.Problem(f, interval, tol, c, g_sym, None, NodeWeights(p, q), y)
+    lam_variants = [replace(problem, lam=Lambda(v)) for v in _LAMBDA_GRID]
     for spec in bd.RULES.values():
         if spec.lam:
-            variants = [replace(problem, lam=Lambda(v)) for v in _LAMBDA_GRID]
+            variants = lam_variants
         elif spec.window:
             variants = [replace(problem, weight=g_win)]
         else:

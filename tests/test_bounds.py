@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcert import bounds
+from convexcert import bounds, quadrature
 from convexcert.bounds import (
     complement_weight_chains,
     fejer,
@@ -45,7 +45,7 @@ from convexcert.core import (
     enclosure_contains,
 )
 from convexcert.expr import evaluation_spec, function_spec
-from convexcert.quadrature import classify_weight, integrate
+from convexcert.quadrature import _integral_to, classify_weight, integrate
 
 E = math.e
 UNIT = Interval(0.0, 1.0)
@@ -412,9 +412,18 @@ class TestEndpointFunctionals:
     )
     def test_is_the_weighted_gap_on_a_x(self, functional, rule, weight):
         g = evaluation_spec(weight)
-        for x in (0.25, 0.6, 1.0):
+        assert functional(EXP, g, UNIT, 1.0) == target_gap(rule, EXP, UNIT, g=g).value
+        for x in (0.25, 0.6):
+            value = functional(EXP, g, UNIT, x)
+            # ∫ₐˣ is read from the [a, b] run, so only the last bits may move
             expected = target_gap(rule, EXP, Interval(0.0, x), g=g).value
-            assert functional(EXP, g, UNIT, x) == expected
+            assert abs(value - expected) <= 1e-14 * max(1.0, abs(value))
+            rg = _integral_to(g, UNIT, x, 1e-10)
+            rfg = _integral_to(EXP, UNIT, x, 1e-10, g)
+            if rule is Rule.WEIGHTED_TRAPEZOID_GAP:
+                assert value == 0.5 * (EXP(0.0) + EXP(x)) * rg.value - rfg.value
+            else:
+                assert value == rfg.value - EXP(0.5 * (0.0 + x)) * rg.value
 
     def test_convexity_alone_does_not_give_monotonicity(self):
         # the documented boundary of the guarantee: f = -x is convex but
@@ -451,15 +460,27 @@ class TestSubintervalMonotonicity:
         assert m_ax == pytest.approx(m_ab, abs=1e-10)
 
     def test_one_integral_per_interval(self, monkeypatch):
-        calls = []
+        runs, refinements = [], []
+        adaptive, refine = quadrature._adaptive, quadrature._refine
 
-        def counting(f, interval, tol=1e-10):
-            calls.append(interval)
-            return integrate(f, interval, tol)
+        def counted_run(sample, a, b, tol):
+            runs.append((a, b))
+            return adaptive(sample, a, b, tol)
 
-        monkeypatch.setattr(bounds, "integrate", counting)
-        hh_gap_monotone(EXP, self.IV2, 1.0)
-        assert calls == [Interval(0.0, 1.0), self.IV2]
+        def counted_refinement(sample, stack, tol, width):
+            refinements.append(len(stack))
+            return refine(sample, stack, tol, width)
+
+        monkeypatch.setattr(quadrature, "_adaptive", counted_run)
+        monkeypatch.setattr(quadrature, "_refine", counted_refinement)
+        # x = 1 is an edge of the [0, 2] panels: [0, x] runs nothing
+        hh_gap_monotone(function_spec("exp(x)"), self.IV2, 1.0)
+        assert (runs, refinements) == ([(0.0, 2.0)], [8])
+        # off an edge, [0, x] runs one part-panel
+        runs.clear()
+        refinements.clear()
+        hh_gap_monotone(function_spec("exp(x)"), self.IV2, 0.7)
+        assert (runs, refinements) == ([(0.0, 2.0)], [8, 1])
 
     def test_refined_chains_exp_frozen(self):
         band = CurvatureBounds(1.0, E * E)
@@ -508,6 +529,20 @@ class TestVasicLackovic:
         f = function_spec("log(x - 10)")
         with pytest.raises(AdmissibilityViolated):
             vasic_lackovic(f, evaluation_spec("1"), NodeWeights(2.0, 1.0), UNIT, 0.5)
+
+    def test_node_weights_at_the_ends_of_the_float_range(self):
+        # p + q overflows, or a product with p underflows, unless p and q
+        # are scaled by a power of two first; the ratio decides alone
+        iv = Interval(0.3, 0.7)
+        f, g = function_spec("exp(x)"), evaluation_spec("1")
+        equal = vasic_lackovic(f, g, NodeWeights(1.0, 1.0), iv, 0.1)
+        for p in (1e308, 5e-324):
+            assert vasic_lackovic(f, g, NodeWeights(p, p), iv, 0.1) == equal
+        tiny = vasic_lackovic(f, g, NodeWeights(1e-320, 3e-320), iv, 0.05)
+        plain = vasic_lackovic(f, g, NodeWeights(1.0, 3.0), iv, 0.05)
+        assert tiny.lower == pytest.approx(plain.lower, rel=1e-15)
+        assert tiny.upper == pytest.approx(plain.upper, rel=1e-15)
+        assert bounds._barycentre(NodeWeights(1e-320, 3e-320), iv) == pytest.approx(0.6, rel=1e-15)
 
     def test_nonpositive_half_width_rejected(self):
         with pytest.raises(ParameterOutOfRange):

@@ -254,6 +254,18 @@ class TestBounds:
         assert (code, out) == (1, "")
         assert err == "error: midpoint-gap: the width 1e+200 is too large, w**2 overflows\n"
 
+    def test_node_weights_whose_sum_overflows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--f", "exp(x)", "--a", "0.3", "--b", "0.7", "--g", "1",
+            "--p", "1e308", "--q", "1e308", "--y", "0.1", "--rule", "vasic-lackovic",
+        )
+        _, equal, _ = run_cli(
+            capsys, "bounds", "--f", "exp(x)", "--a", "0.3", "--b", "0.7", "--g", "1",
+            "--p", "1", "--q", "1", "--y", "0.1", "--rule", "vasic-lackovic",
+        )
+        assert (code, err) == (0, "")
+        assert out == equal and out.endswith("-> contained\n")
+
     def test_json_is_deterministic(self, capsys):
         args = ("bounds", "--f", "exp(x)", "--a", "0", "--b", "1", "--json")
         _, out1, _ = run_cli(capsys, *args)

@@ -19,6 +19,7 @@ from convexcert.core import (
 from convexcert.expr import curvature_range, evaluation_spec, function_spec, require_convex
 from convexcert.quadrature import (
     MAX_DEPTH,
+    _integral_to,
     check_monotone,
     check_symmetry,
     classify_weight,
@@ -197,12 +198,16 @@ def _count(monkeypatch, name):
 
 
 class TestMemo:
-    def test_one_trial_runs_24_integrations(self, monkeypatch):
+    def test_one_trial_runs_11_integrations(self, monkeypatch):
         # 38 integrate calls per trial, 14 of them repeats of an
-        # integrand, interval and tolerance the trial already integrated
+        # integrand, interval and tolerance the trial already integrated;
+        # the h1/h2 points and the midpoint of the subinterval checks are
+        # edges of the [a, b] panels, so their [a, x] integrals run nothing
         runs = _count(monkeypatch, "_adaptive")
+        refinements = _count(monkeypatch, "_refine")
         verify.falsify(1, 42)
-        assert len(runs) == 24
+        assert len(runs) == 11
+        assert len(refinements) == 11  # no part-panel run
 
     def test_second_integral_of_a_spec_evaluates_nothing(self, monkeypatch):
         f, g = function_spec("exp(x)"), evaluation_spec("x*(1 - x)")
@@ -269,13 +274,21 @@ class TestSharedNodeValues:
         moment_center(g, UNIT)
         assert sum(points) == evaluated
 
-    def test_memo_keeps_floors_only(self):
+    def test_memo_keeps_floors_and_panel_tables(self):
         f = function_spec("exp(30*x)")
         r = integrate(f, UNIT)
         assert r.evaluations > 120  # some panels were split
-        kept = {k: v for k, v in f._memo.items() if k[0] != "integrate"}
-        assert list(kept) == [("floor", 0.0, 1.0)]
-        assert all(len(v) <= 120 for v in kept.values())
+        assert list(f._memo) == [("floor", 0.0, 1.0), ("panels", None, 0.0, 1.0, 1e-10)]
+        assert len(f._memo["floor", 0.0, 1.0]) == 120
+        panels, result = f._memo["panels", None, 0.0, 1.0, 1e-10]
+        assert result is r
+        # each split turns one panel into two: 8 starting panels, and one
+        # entry per accepted panel, in order, ending at b
+        computed = r.evaluations // 15
+        assert len(panels) == (computed + 8) // 2
+        edges = [p[0] for p in panels]
+        assert edges == sorted(edges) and edges[-1] == 1.0
+        assert math.fsum(p[1] for p in panels) == r.value
 
     def test_floor_nodes_are_built_once_per_interval(self, monkeypatch):
         quadrature._floor.cache_clear()
@@ -314,6 +327,75 @@ class TestSharedNodeValues:
         g = evaluation_spec("1/(x - 0.29999999999999993)^2")
         assert not classify_weight(g, UNIT).symmetric
         assert not check_symmetry(g, UNIT)
+
+
+# x where the [0, 1] run of each integrand has an edge (0.25), misses one
+# (0.6), or misses the edge at 0.5 by an ulp, and the two ends
+PREFIX_POINTS = [0.0, 0.25, 0.6, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0]
+
+
+class TestPrefixRead:
+    @pytest.mark.parametrize("x", PREFIX_POINTS)
+    def test_agrees_with_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        f, g = evaluation_spec("x^0.5"), evaluation_spec("exp(x)")
+        with mpmath.workdps(30):
+            for r, reference in (
+                (_integral_to(f, UNIT, x, 1e-10), mpmath.sqrt),
+                (_integral_to(f, UNIT, x, 1e-10, g), lambda t: mpmath.sqrt(t) * mpmath.exp(t)),
+            ):
+                exact = float(mpmath.quad(reference, [0, x])) if x else 0.0
+                assert r.converged
+                assert abs(r.value - exact) <= 1e-10
+
+    def test_ends_are_zero_and_the_whole_run(self):
+        f = evaluation_spec("x^0.5")
+        assert _integral_to(f, UNIT, 0.0, 1e-10) == QuadResult(0.0, 0.0, 0, True)
+        assert _integral_to(f, UNIT, 1.0, 1e-10) is integrate(f, UNIT, 1e-10)
+
+    def test_reads_panels_up_to_an_edge_without_running(self, monkeypatch):
+        f = evaluation_spec("x^0.5")
+        panels, whole = quadrature._table(f, None, 0.0, 1.0, 1e-10)
+        runs = []
+        refine = quadrature._refine
+
+        def recorded(sample, stack, tol, width):
+            runs.append((list(stack), tol, width))
+            return refine(sample, stack, tol, width)
+
+        monkeypatch.setattr(quadrature, "_refine", recorded)
+        r = _integral_to(f, UNIT, 0.5, 1e-10)
+        assert runs == []
+        read = [p for p in panels if p[0] <= 0.5]
+        assert r == QuadResult(
+            math.fsum(p[1] for p in read), math.fsum(p[2] for p in read), whole.evaluations, True
+        )
+        # off an edge, one part-panel starts at the depth of the panel it
+        # cuts, with the tolerance pro-rated over [a, x]
+        r = _integral_to(f, UNIT, 0.6, 1e-10)
+        assert runs == [([(0.5, 0.6, 3, None)], 1e-10, 0.6)]
+        assert [p[0] for p in panels if 0.5 < p[0] <= 0.625] == [0.625]
+        assert r.evaluations == whole.evaluations + 15
+        # near 0 the cut panel was split: the part-panel starts at its depth
+        runs.clear()
+        k = next(i for i, p in enumerate(panels) if p[0] > 0.01)
+        _integral_to(f, UNIT, 0.01, 1e-10)
+        assert panels[k][4] > 3
+        assert runs == [([(panels[k - 1][0], 0.01, panels[k][4], None)], 1e-10, 0.01)]
+
+    def test_depth_capped_panel_read_is_unconverged(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
+        r = _integral_to(evaluation_spec("x^0.5"), UNIT, 0.5, 1e-10)
+        assert not r.converged
+
+    def test_domain_error_keeps_the_first_failing_node(self):
+        # as for the whole run: a node of a split panel fails before any
+        # node of a later starting panel
+        with pytest.raises(DomainError, match=r"undefined at x=0\.3749"):
+            _integral_to(function_spec("log(0.3749 - x)"), UNIT, 0.25, 1e-10)
+        f, g = function_spec("(0.33 - x)^0.5"), evaluation_spec("(0.3 - x)^0.5")
+        with pytest.raises(DomainError, match=re.escape(g.text + " undefined")):
+            _integral_to(f, UNIT, 0.25, 1e-10, g)
 
 
 class TestMoments:
