@@ -41,7 +41,6 @@ from .core import (
     QuadResult,
     RangeViolated,
     Rule,
-    SymmetryViolated,
     WeightSpec,
     enclosure_contains,
     make_interval,
@@ -58,12 +57,10 @@ from .expr import (
     to_text,
 )
 from .quadrature import (
-    check_monotone,
-    check_symmetry,
     classify_weight,
     integrate,
     moment_ab,
-    moment_center,
+    moment_about,
 )
 from .bounds import (
     complement_weight_chains,
@@ -124,7 +121,6 @@ __all__ = [
     "NonSmoothExpression",
     "OracleInconclusive",
     "ConvexityViolated",
-    "SymmetryViolated",
     "NegativeWeight",
     "RangeViolated",
     "MonotonicityViolated",
@@ -156,9 +152,7 @@ __all__ = [
     # quadrature
     "integrate",
     "moment_ab",
-    "moment_center",
-    "check_symmetry",
-    "check_monotone",
+    "moment_about",
     "classify_weight",
     # bounds
     "hermite_hadamard",

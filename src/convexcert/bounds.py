@@ -4,17 +4,22 @@ Every operation here returns (or supports) a two-sided bound on a
 named *gap*: the amount by which a convex function's integral mean,
 endpoint average, chord value, or weighted analogue exceeds its
 Jensen-side counterpart.  Bounds are closed-form in the curvature band
-``m <= f'' <= M`` and, for weighted rules, in oracle values of the two
-weight moments.  The oracle targets the bounds are meant to bracket
+``m <= f'' <= M`` and, for weighted rules, in oracle values of weight
+moments.  The oracle targets the bounds are meant to bracket
 are provided alongside as ``target_*`` evaluators so callers (CLI,
 falsification harness, tests) can verify containment independently.
 
 The six unweighted gaps are curvature bands times one scale factor each,
-tabulated on :func:`gap_bounds`.  The two weighted gaps, for an
-interval [a, b] and a weight g, scale the band by an oracle moment:
+tabulated on :func:`gap_bounds`.  The weighted rules need no symmetry
+of the nonnegative weight g (Lah & Ribarič 1973; Niculescu & Persson,
+*Convex Functions and Their Applications*, 2006): with G = ∫g, its
+barycentre x̄ and ℓ the chord of f over [a, b], f(x̄)·G <= ∫fg <= ℓ(x̄)·G,
+and the weighted gaps scale the band by an oracle moment:
 
-* weighted trapezoid  (f(a)+f(b))/2 ∫g - ∫fg            in ∫(t-a)(b-t)g/2 · [m, M]
-* weighted midpoint   ∫fg - f((a+b)/2) ∫g               in ∫(2t-a-b)²g/8 · [m, M]
+* weighted trapezoid  ℓ(x̄)·G - ∫fg            in ∫(t-a)(b-t)g/2 · [m, M]
+* weighted midpoint   ∫fg - f(x̄)·G            in ∫(t-x̄)²g/2 · [m, M]
+
+For g symmetric about the midpoint these are the paper's Fejér forms.
 
 :data:`RULES` pairs each rule with the inputs it needs, its enclosure
 and its oracle target, all read from one :class:`Problem`; the CLI and
@@ -40,7 +45,6 @@ from .core import (
     QuadResult,
     RangeViolated,
     Rule,
-    SymmetryViolated,
     WeightSpec,
 )
 from .expr import FunctionSpec, require_convex
@@ -49,7 +53,7 @@ from .quadrature import (
     classify_weight,
     integrate,
     moment_ab,
-    moment_center,
+    moment_about,
     monotone_profile,
 )
 
@@ -122,15 +126,6 @@ def _as_weight(g: WeightLike, interval: Interval) -> WeightSpec:
     return classify_weight(_weight_function(g), interval)
 
 
-def _symmetric_weight(g: WeightLike, interval: Interval) -> WeightSpec:
-    ws = _as_weight(g, interval)
-    if not ws.symmetric:
-        raise SymmetryViolated(
-            f"weight {ws.function.text!r} is not symmetric about {ws.center}"
-        )
-    return ws
-
-
 def _scaled(nodes: NodeWeights) -> tuple[float, float]:
     """(p, q) times the one power of two that puts max(p, q) in [0.5, 1).
 
@@ -160,10 +155,6 @@ def _oracle(result: QuadResult, what: str) -> float:
     return result.value
 
 
-def _integral(f, interval: Interval, tol: float, what: str) -> float:
-    return _oracle(integrate(f, interval, tol), what)
-
-
 # --------------------------------------------------------------------------
 # Unweighted and weighted sandwich enclosures
 # --------------------------------------------------------------------------
@@ -188,41 +179,79 @@ def hermite_hadamard(f: FunctionSpec, interval: Interval) -> Enclosure:
     )
 
 
+_EQUAL = NodeWeights(1.0, 1.0)
+
+
+class _Sides(NamedTuple):
+    lower: QuadResult  # ∫ of the supporting line at y against g
+    upper: QuadResult  # ∫ of the chord of [a, b] against g
+    y: float  # the barycentre of g, in floats
+
+
+def _sides(
+    f: FunctionSpec, g: FunctionSpec, interval: Interval, nodes: NodeWeights, window: Interval, tol: float
+) -> _Sides:
+    """The barycentric sandwich over a window W inside [a, b]: for convex
+    f and nonnegative g, ∫fg over W lies between the integrals against g
+    of two lines, the supporting line of f at y and the chord ℓ of f
+    over [a, b].  A line with value v at c = (pa + qb)/(p + q) and slope
+    s integrates to v·G + s·T, with G = ∫g and T = ∫(t - c)·g over W (a
+    moment about c, not 0, so bG - ∫t·g cannot cancel far from 0), so
+    the chord side is ℓ(x̄)·G at the barycentre x̄ = c + T/G with no
+    division by G.  The supporting line lies below f at any y, so
+    rounding in the float barycentre y cannot break the lower side.
+    For g symmetric about c, T = 0 and the sides are f(c)·G and ℓ(c)·G.
+    """
+    a, b = interval.a, interval.b
+    c = _barycentre(nodes, interval)
+    rg = integrate(g, window, tol)
+    rt = moment_about(g, window, c, 1, tol)
+    G, T = rg.value, rt.value
+    y = c + T / G if G > 0.0 else c
+    y = c if math.isnan(y) else min(max(y, window.a), window.b)
+
+    def line(value: float, slope: float) -> QuadResult:
+        return QuadResult(
+            value * G + slope * T,
+            abs(value) * rg.error_estimate + abs(slope) * rt.error_estimate,
+            rg.evaluations + rt.evaluations,
+            rg.converged and rt.converged,
+        )
+
+    p, q = _scaled(nodes)
+    fa, fb, fy, dfy = f(a), f(b), f(y), f.derivative(y)
+    chord_slope = (fb - fa) / (b - a) if b > a else 0.0
+    return _Sides(line(fy + dfy * (c - y), dfy), line((p * fa + q * fb) / (p + q), chord_slope), y)
+
+
 def _sandwich(
-    f: FunctionSpec, ws: WeightSpec, interval: Interval, nodes: NodeWeights,
+    f: FunctionSpec, g: WeightLike, interval: Interval, nodes: NodeWeights,
     window: Interval, tol: float, rule: Rule,
 ) -> Enclosure:
-    """The two-node sandwich, after the caller's guards::
-
-        f(A) ∫g  <=  ∫fg  <=  (p f(a) + q f(b))/(p + q) ∫g
-
-    with A = (pa + qb)/(p + q) and both integrals over the window, a
-    subinterval of [a, b] centred at A.
-    """
-    p, q = _scaled(nodes)
-    G = max(_integral(ws.function, window, tol, "integral of the weight"), 0.0)
-    lo = f(_barycentre(nodes, interval)) * G
-    hi = (p * f(interval.a) + q * f(interval.b)) / (p + q) * G
+    """The two sides of :func:`_sides` as an enclosure of ∫fg over the
+    window, after checking the weight there and f on [a, b]."""
+    ws = _as_weight(g, window)
+    require_convex(f, interval)
+    lower, upper, _ = _sides(f, ws.function, interval, nodes, window, tol)
     what = f"integral of {f.text} * {ws.function.text} over [{window.a}, {window.b}]"
-    return _enclosure(lo, hi, what, rule)
+    return _enclosure(_oracle(lower, "weight moments"), _oracle(upper, "weight moments"), what, rule)
 
 
 def fejer(
     f: FunctionSpec, g: WeightLike, interval: Interval, tol: float = 1e-10
 ) -> Enclosure:
-    """Weighted sandwich: f(mid) ∫g  <=  ∫fg  <=  (f(a)+f(b))/2 ∫g
-    for convex f and a nonnegative weight symmetric about the midpoint.
+    """Weighted sandwich: f(x̄) ∫g  <=  ∫fg  <=  ℓ(x̄) ∫g  for convex f
+    and a nonnegative weight with barycentre x̄, ℓ being the chord of f
+    over the interval (see :func:`_sides`).  For g symmetric about the
+    midpoint this is f(mid) ∫g <= ∫fg <= (f(a)+f(b))/2 ∫g.
 
     This is the equal-node case p = q of :func:`vasic_lackovic`, with
     the window the whole interval.  With g ≡ 1 it reduces to
-    :func:`hermite_hadamard` scaled by the interval width (same
-    arithmetic shape, oracle-exact ∫g).
+    :func:`hermite_hadamard` scaled by the interval width.
     """
     if interval.is_degenerate():
         raise ParameterOutOfRange("weighted sandwich needs a non-degenerate interval")
-    ws = _symmetric_weight(g, interval)
-    require_convex(f, interval)
-    return _sandwich(f, ws, interval, NodeWeights(1.0, 1.0), interval, tol, Rule.FEJER)
+    return _sandwich(f, g, interval, _EQUAL, interval, tol, Rule.FEJER)
 
 
 # --------------------------------------------------------------------------
@@ -316,9 +345,10 @@ def fejer_trapezoid_gap_bounds(
     tol: float = 1e-10,
 ) -> Enclosure:
     """Enclosure (m/2, M/2) · ∫(t-a)(b-t)g  for the weighted trapezoid
-    gap (f(a)+f(b))/2 ∫g - ∫fg.  The moment is an oracle value; it is
-    clamped at zero (it is nonnegative for a nonnegative weight)."""
-    ws = _symmetric_weight(g, interval)
+    gap ℓ(x̄) ∫g - ∫fg, ℓ being the chord of f and x̄ the barycentre of
+    g.  The moment is an oracle value; it is clamped at zero (it is
+    nonnegative for a nonnegative weight)."""
+    ws = _as_weight(g, interval)
     mab = max(_oracle(moment_ab(ws.function, interval, tol), "endpoint moment"), 0.0)
     return _band(
         c,
@@ -335,16 +365,19 @@ def fejer_midpoint_gap_bounds(
     interval: Interval,
     tol: float = 1e-10,
 ) -> Enclosure:
-    """Enclosure (m/8, M/8) · ∫(2t-a-b)²g  for the weighted midpoint
-    gap ∫fg - f((a+b)/2) ∫g."""
-    ws = _symmetric_weight(g, interval)
-    mc = max(_oracle(moment_center(ws.function, interval, tol), "central moment"), 0.0)
+    """Enclosure (m/2, M/2) · ∫(t-y)²g  for the weighted midpoint gap
+    ∫fg - G·f(y) - f'(y)·(T - yG), y being the barycentre of g in floats
+    (see :func:`_sides`); the gap is ∫fg - f(x̄) ∫g up to rounding.  The
+    moment about y is its own oracle integral, not S - 2yT + y²G, which
+    cancels."""
+    ws = _as_weight(g, interval)
+    y = _sides(f, ws.function, interval, _EQUAL, interval, tol).y
+    my = max(_oracle(moment_about(ws.function, interval, y, 2, tol), "moment about the barycentre"), 0.0)
     return _band(
         c,
-        mc,
+        0.5 * my,
         f"weighted midpoint gap of {f.text} with weight {ws.function.text}",
         Rule.WEIGHTED_MIDPOINT_GAP,
-        8.0,
     )
 
 
@@ -362,20 +395,21 @@ def complement_weight_chains(
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """Three-term precision chains obtained by applying the weighted
     gap bounds to the complement weight 1 - g (legal when g maps into
-    [0, 1] and is symmetric).
+    [0, 1]).
 
-    Writing w = b - a, T = trapezoid gap of f, G = ∫g, FG = ∫fg and
-    P = ∫(t-a)(b-t)g, the two chains are::
+    Writing w = b - a, T = trapezoid gap of f, G = ∫g, FG = ∫fg,
+    P = ∫(t-a)(b-t)g and ℓ(x̄)·G the chord side of :func:`fejer`, the
+    two chains are::
 
-        w·(T - m w²/12)  >=  (f(a)+f(b))/2·G - FG - (m/2)·P  >=  0
-        w·(M w²/12 - T)  >=  (M/2)·P - (f(a)+f(b))/2·G + FG  >=  0
+        w·(T - m w²/12)  >=  ℓ(x̄)·G - FG - (m/2)·P  >=  0
+        w·(M w²/12 - T)  >=  (M/2)·P - ℓ(x̄)·G + FG  >=  0
 
     Each is returned as (left, middle, 0.0); left and middle are built
     from oracle integrals, so orderings should be asserted with slack.
     Note the middle terms are the slack of the weighted gap bounds for
     g itself — with g ≡ 1 they *equal* the left terms.
     """
-    ws = _symmetric_weight(g, interval)
+    ws = _as_weight(g, interval)
     if not ws.range01:
         raise RangeViolated(
             f"complement chains need a weight in [0, 1]; {ws.function.text!r} is not"
@@ -383,15 +417,15 @@ def complement_weight_chains(
     a, b = interval.a, interval.b
     w = interval.width
     avg = 0.5 * (f(a) + f(b))
-    F = _integral(f, interval, tol, "integral of f")
-    G = _integral(ws.function, interval, tol, "integral of the weight")
+    F = _oracle(integrate(f, interval, tol), "integral of f")
+    chord = _oracle(_sides(f, ws.function, interval, _EQUAL, interval, tol).upper, "weight moments")
     FG = _oracle(integrate(f, interval, tol, ws.function), "integral of f*g")
     P = max(_oracle(moment_ab(ws.function, interval, tol), "endpoint moment"), 0.0)
     w3 = _width_power(w, 3, "complement chains")
     left1 = w * avg - F - c.m * w3 / 12.0
-    mid1 = avg * G - FG - 0.5 * c.m * P
+    mid1 = chord - FG - 0.5 * c.m * P
     left2 = c.M * w3 / 12.0 - w * avg + F
-    mid2 = 0.5 * c.M * P - avg * G + FG
+    mid2 = 0.5 * c.M * P - chord + FG
     return (left1, mid1, 0.0), (left2, mid2, 0.0)
 
 
@@ -410,8 +444,8 @@ def _check_x(interval: Interval, x: float) -> None:
 def _endpoint_functional(
     name: str, f: FunctionSpec, g: WeightLike, interval: Interval, x: float, tol: float
 ) -> float:
-    """h1 or h2: the weighted trapezoid or midpoint gap on [a, x], after
-    checking x, the weight's direction and convexity."""
+    """h1 or h2 on [a, x], after checking x, the weight's direction and
+    convexity."""
     _check_x(interval, x)
     ws = _as_weight(g, interval)
     rises, falls = monotone_profile(ws.function, interval)
@@ -426,10 +460,16 @@ def _endpoint_functional(
     require_convex(f, interval)
     if x == interval.a:
         return 0.0
-    rule = Rule.WEIGHTED_TRAPEZOID_GAP if name == "h1" else Rule.WEIGHTED_MIDPOINT_GAP
+    a = interval.a
     rg = _integral_to(ws.function, interval, x, tol)
     rfg = _integral_to(f, interval, x, tol, ws.function)
-    return _oracle(_weighted_gap(rule, f, interval.a, x, rg, rfg), name)
+    if name == "h1":
+        val = 0.5 * (f(a) + f(x)) * rg.value - rfg.value
+    else:
+        val = rfg.value - f(0.5 * (a + x)) * rg.value
+    if not (rg.converged and rfg.converged):
+        raise OracleInconclusive(f"oracle did not converge for {name}", val)
+    return val
 
 
 def h1_functional(
@@ -438,8 +478,8 @@ def h1_functional(
     """h1(x) = (f(a)+f(x))/2 · ∫ₐˣ g  -  ∫ₐˣ f g.
 
     For convex *nondecreasing* f and nonincreasing g this is
-    nondecreasing in x with h1(a) = 0 (the slack of the weighted
-    trapezoid bound, restricted to [a, x] and growing with x).
+    nondecreasing in x with h1(a) = 0 (for g symmetric about the middle
+    of [a, x], the weighted trapezoid gap there).
     Convexity alone is not enough: f(x) = -x with g(x) = 1 - x on
     [0, 1] gives h1(x) = -x³/12, strictly decreasing.  The value is
     computed for any convex f; the monotonicity guarantee is the
@@ -457,7 +497,7 @@ def h2_functional(
     """h2(x) = ∫ₐˣ f g  -  f((a+x)/2) · ∫ₐˣ g.
 
     For convex *nondecreasing* f and nondecreasing g this is
-    nondecreasing in x with h2(a) = 0 (the midpoint-side slack on
+    nondecreasing in x with h2(a) = 0 (the midpoint-form slack on
     [a, x]).  As with :func:`h1_functional`, convexity alone does not
     suffice (f(x) = -x with g(x) = x mirrors the counterexample), so
     the monotonicity guarantee applies only to nondecreasing f; the
@@ -553,7 +593,7 @@ def refined_gap_chains(
 
 
 # --------------------------------------------------------------------------
-# Weighted two-node sandwich (asymmetric barycentre)
+# Weighted two-node sandwich (off-centre window)
 # --------------------------------------------------------------------------
 
 
@@ -565,12 +605,15 @@ def vasic_lackovic(
     y: float,
     tol: float = 1e-10,
 ) -> Enclosure:
-    """Two-node sandwich around the barycentre A = (pa + qb)/(p + q)::
+    """Two-node sandwich on the window [A - y, A + y] around
+    A = (pa + qb)/(p + q)::
 
-        f(A) ∫ g  <=  ∫ f g  <=  (p f(a) + q f(b))/(p + q) ∫ g
+        f(x̄) ∫ g  <=  ∫ f g  <=  ℓ(x̄) ∫ g
 
-    with all integrals over the window [A - y, A + y], for convex f and
-    a nonnegative g symmetric about A.  Admissibility — checked before
+    with all integrals over the window, for convex f and a nonnegative
+    g with barycentre x̄ there, ℓ being the chord of f over [a, b] (see
+    :func:`_sides`).  For g symmetric about A, ℓ(x̄) = (p f(a) + q f(b))/(p + q).
+    p and q only place the window.  Admissibility — checked before
     anything is evaluated — requires y <= (b - a) · min(p, q)/(p + q),
     which is exactly the condition keeping the window inside [a, b].
     """
@@ -583,10 +626,7 @@ def vasic_lackovic(
         raise AdmissibilityViolated(
             f"half-width {y} exceeds admissible radius {radius} for (p, q) = ({p}, {q})"
         )
-    window = _window(weights, interval, y)
-    require_convex(f, interval)
-    ws = _symmetric_weight(g, window)
-    return _sandwich(f, ws, interval, weights, window, tol, Rule.VASIC_LACKOVIC)
+    return _sandwich(f, g, interval, weights, _window(weights, interval, y), tol, Rule.VASIC_LACKOVIC)
 
 
 # --------------------------------------------------------------------------
@@ -625,7 +665,8 @@ def target_gap(
     Evaluation-only targets (chord, symmetric pair) come back with a
     zero error estimate; integral-backed targets carry the quadrature
     convergence flag, and each integral's error estimate scaled by the
-    coefficient that integral carries in the gap.
+    coefficient that integral carries in the gap.  The two weighted gaps
+    are those of :func:`_sides`; they read f' at the weight's barycentre.
     """
     a, b = interval.a, interval.b
     if rule is Rule.CHORD_GAP:
@@ -658,21 +699,11 @@ def target_gap(
     if g is None:
         raise ParameterOutOfRange(f"{rule.value} needs a weight")
     gfn = _weight_function(g)
-    return _weighted_gap(rule, f, a, b, integrate(gfn, interval, tol), integrate(f, interval, tol, gfn))
-
-
-def _weighted_gap(rule: Rule, f, a: float, b: float, rg: QuadResult, rfg: QuadResult) -> QuadResult:
-    """The weighted trapezoid or midpoint gap on [a, b] from rg = ∫g and
-    rfg = ∫fg over [a, b]; each error estimate is scaled by the
-    coefficient its integral carries."""
-    if rule is Rule.WEIGHTED_TRAPEZOID_GAP:
-        coef = 0.5 * (f(a) + f(b))
-        val = coef * rg.value - rfg.value
-    else:
-        coef = f(0.5 * (a + b))
-        val = rfg.value - coef * rg.value
-    err = abs(coef) * rg.error_estimate + rfg.error_estimate
-    return QuadResult(val, err, rg.evaluations + rfg.evaluations, rg.converged and rfg.converged)
+    sides = _sides(f, gfn, interval, _EQUAL, interval, tol)
+    fg = integrate(f, interval, tol, gfn)
+    u, v = (sides.upper, fg) if rule is Rule.WEIGHTED_TRAPEZOID_GAP else (fg, sides.lower)
+    err = u.error_estimate + v.error_estimate
+    return QuadResult(u.value - v.value, err, u.evaluations + v.evaluations, u.converged and v.converged)
 
 
 def target_vasic_lackovic(

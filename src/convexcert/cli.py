@@ -2,7 +2,8 @@
 
 ``bounds`` runs the rules of :data:`convexcert.bounds.RULES` (one named
 rule, or every rule whose inputs were given) on one problem and prints
-one certificate per rule.
+one certificate per rule.  One ``--g`` weight serves every weighted
+rule, the window rule included: none of them needs it symmetric.
 
 Subcommands::
 
@@ -38,7 +39,6 @@ from .core import (
     Provenance,
     QuadResult,
     Rule,
-    SymmetryViolated,
     check_tolerance,
     enclosure_contains,
     make_interval,
@@ -201,15 +201,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             # node weights are validated only once a window rule runs
             problem = replace(problem, nodes=NodeWeights(args.p, args.q))
         prov = band.provenance.value if spec.band else "not-used"
-        try:
-            enc = spec.enclose(problem)
-        except SymmetryViolated as exc:
-            # one --g weight cannot be symmetric about both the midpoint
-            # and an off-centre barycentre: under `all`, drop only the window rule
-            if args.rule != "all" or not spec.window:
-                raise
-            notes.append(f"{rule.value} skipped: {exc}")
-            continue
+        enc = spec.enclose(problem)
         target = spec.target(problem)
         certs.append(_make_certificate(rule, interval, rule_inputs, enc, target, tol, prov))
     return _emit_certificates(certs, args.json, notes)

@@ -73,10 +73,6 @@ class ConvexityViolated(CertError):
     below the convexity slack -1e-9."""
 
 
-class SymmetryViolated(CertError):
-    """Weight is not symmetric about the required centre."""
-
-
 class NegativeWeight(CertError):
     """Weight takes negative values on the working interval."""
 
@@ -176,7 +172,10 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
+        """(a + b)/2, halved before the sum where the sum overflows."""
+        if abs(self.a + self.b) < math.inf:
+            return 0.5 * (self.a + self.b)
+        return 0.5 * self.a + 0.5 * self.b
 
     def is_degenerate(self) -> bool:
         return self.a == self.b
@@ -248,16 +247,16 @@ class Enclosure:
 
 @dataclass(frozen=True, slots=True)
 class WeightSpec:
-    """A weight function together with its verified structural flags.
+    """A weight function together with its sampled structural flags.
 
     ``function`` only has to be evaluatable (weights may contain ``abs``
     and need not be differentiable); the flags record what the sampled
-    checks in :mod:`convexcert.quadrature` established.
+    checks in :mod:`convexcert.quadrature` established.  No weighted
+    rule needs symmetry: each places its sandwich at the weight's
+    barycentre.
     """
 
     function: "FunctionSpec"
-    center: float
-    symmetric: bool
     monotone: Monotonicity = Monotonicity.UNKNOWN
     range01: bool = False
 

@@ -20,8 +20,12 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+from .bounds import gap_bounds
 from .core import (
+    CurvatureBounds,
     Enclosure,
+    Interval,
+    Lambda,
     NonpositiveInput,
     ParameterOutOfRange,
     Rule,
@@ -352,17 +356,16 @@ def young_difference_bounds(a: float, b: float, lam: float) -> Enclosure:
         λ(1-λ)·α/2·log²(a/b)  <=  λa + (1-λ)b - a^λ b^(1-λ)
                               <=  λ(1-λ)·β/2·log²(a/b)
 
-    with α = min(a, b), β = max(a, b).
+    with α = min(a, b), β = max(a, b).  This is the chord gap of exp on
+    [log α, log β], whose curvature band is (α, β).
     """
     alpha, beta, w = _young_normalise(a, b, lam)
-    if alpha == beta:
-        log2 = 0.0
-    else:
-        log2 = (math.log(alpha) - math.log(beta)) ** 2
-    s = w * (1.0 - w) * 0.5 * log2
+    gap = gap_bounds(
+        Rule.CHORD_GAP, CurvatureBounds(alpha, beta), Interval(math.log(alpha), math.log(beta)), Lambda(w)
+    )
     return Enclosure(
-        s * alpha,
-        s * beta,
+        gap.lower,
+        gap.upper,
         f"lam*a + (1-lam)*b - a^lam * b^(1-lam) for a={a}, b={b}, lam={lam}",
         Rule.YOUNG_DIFFERENCE,
     )

@@ -28,10 +28,10 @@ accepted panels of each run: an integral over [a, x] inside an
 interval [a, b] is read from them as a prefix sum, plus one adaptive
 part-panel where x falls inside a panel.
 
-Every weight check — sign, ``[0, 1]`` range, symmetry and
-monotonicity — is sampled, not certified: it reads one grid of 101
-uniform points with a slack of 1e-9, and steps within 1e-12 count as
-ties in the monotonicity scan.
+Every weight check — sign, ``[0, 1]`` range and monotonicity — is
+sampled, not certified: it reads one grid of 101 uniform points with a
+slack of 1e-9, and steps within 1e-12 count as ties in the monotonicity
+scan.  No rule needs a symmetric weight, so symmetry is not checked.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import math
 import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
-from contextlib import suppress
 from functools import lru_cache, partial
 from operator import itemgetter, mul
 
@@ -58,9 +57,7 @@ from .expr import FunctionSpec, _remember
 __all__ = [
     "integrate",
     "moment_ab",
-    "moment_center",
-    "check_symmetry",
-    "check_monotone",
+    "moment_about",
     "monotone_profile",
     "classify_weight",
     "MAX_DEPTH",
@@ -365,14 +362,16 @@ def moment_ab(
     )
 
 
-def moment_center(
-    g: Callable[[float], float], interval: Interval, tol: float = 1e-10
+def moment_about(
+    g: Callable[[float], float], interval: Interval, y: float, k: int, tol: float = 1e-10
 ) -> QuadResult:
-    """Oracle value of the central moment  ∫ (2t - a - b)² g(t) dt,
-    remembered in ``g``'s memo like :func:`integrate`."""
+    """Oracle value of the moment  ∫ (t - y)^k g(t) dt  about the point y,
+    remembered in ``g``'s memo like :func:`integrate`.  The weighted
+    rules take k = 1 about the centre of their interval, and k = 2
+    about the weight's barycentre."""
     a, b = interval.a, interval.b
     return _remember(
-        g, ("moment_center", a, b, tol), lambda: _moment(g, interval, tol, lambda t, gt: (2.0 * t - a - b) ** 2 * gt)
+        g, ("moment_about", a, b, y, k, tol), lambda: _moment(g, interval, tol, lambda t, gt: (t - y) ** k * gt)
     )
 
 
@@ -380,25 +379,6 @@ def _grid(interval: Interval) -> list[float]:
     a, b = interval.a, interval.b
     step = (b - a) / (_SAMPLES - 1)
     return [a + k * step for k in range(_SAMPLES)]
-
-
-def _mirrors_match(g, interval: Interval, values: Iterable[float]) -> bool:
-    """Whether g(a + b - x) matches each grid value g(x), up to the first miss.
-
-    A spec's mirrored values come in one batch; if that batch fails, they
-    are taken point by point, so a miss before the failing point still
-    answers False, as it does for any other callable.
-    """
-    a, b = interval.a, interval.b
-    mirrors = [a + b - x for x in _grid(interval)]
-    mirrored: Iterable[float] = map(g, mirrors)
-    if isinstance(g, FunctionSpec):
-        with suppress(DomainError):
-            mirrored = g._values(mirrors)
-    for gx, gm in zip(values, mirrored):
-        if abs(gx - gm) > _SLACK * (1.0 + abs(gx)):
-            return False
-    return True
 
 
 def _steps(values: list[float]) -> tuple[bool, bool]:
@@ -420,12 +400,6 @@ def _monotonicity(rises: bool, falls: bool) -> Monotonicity:
     return Monotonicity.DECREASING
 
 
-def check_symmetry(g: Callable[[float], float], interval: Interval) -> bool:
-    """Sampled check that g is symmetric about the interval midpoint:
-    ``|g(x) - g(a + b - x)| <= 1e-9 * (1 + |g(x)|)`` on the grid."""
-    return _mirrors_match(g, interval, map(g, _grid(interval)))
-
-
 def monotone_profile(g: Callable[[float], float], interval: Interval) -> tuple[bool, bool]:
     """(any rise, any fall) of g between consecutive grid points,
     remembered in ``g``'s memo like :func:`integrate`."""
@@ -433,19 +407,13 @@ def monotone_profile(g: Callable[[float], float], interval: Interval) -> tuple[b
     return _remember(g, key, lambda: _steps(_at(g, _grid(interval))))
 
 
-def check_monotone(g: Callable[[float], float], interval: Interval) -> Monotonicity:
-    """Classify sampled monotonicity with a 1e-12 tie tolerance.
+def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
+    """Sample a weight once on the grid and record its flags, remembered
+    in ``g``'s memo like :func:`integrate`.
 
     A weight that is flat everywhere is weakly monotone in both
-    directions; it classifies as DECREASING here, and the operations
-    that require one direction accept flat weights either way.
-    """
-    return _monotonicity(*monotone_profile(g, interval))
-
-
-def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
-    """Sample a weight once on the grid (and at the mirrored points) and
-    record its flags, remembered in ``g``'s memo like :func:`integrate`.
+    directions; it classifies as DECREASING, and the operations that
+    require one direction accept flat weights either way.
 
     Raises:
         NegativeWeight: if any sample is below ``-1e-9``.
@@ -454,11 +422,11 @@ def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
     # flags, not the spec, which holds g: a cycle through g's memo would
     # keep g alive until the cyclic collector runs
     key = ("classify_weight", repr(interval.a), repr(interval.b))
-    symmetric, monotone, range01 = _remember(g, key, lambda: _weight_flags(g, interval))
-    return WeightSpec(g, interval.midpoint, symmetric, monotone, range01)
+    monotone, range01 = _remember(g, key, lambda: _weight_flags(g, interval))
+    return WeightSpec(g, monotone, range01)
 
 
-def _weight_flags(g: FunctionSpec, interval: Interval) -> tuple[bool, Monotonicity, bool]:
+def _weight_flags(g: FunctionSpec, interval: Interval) -> tuple[Monotonicity, bool]:
     """The flags from one grid sample, whose steps also answer
     :func:`monotone_profile` on the interval afterwards."""
     values = _at(g, _grid(interval))
@@ -466,4 +434,4 @@ def _weight_flags(g: FunctionSpec, interval: Interval) -> tuple[bool, Monotonici
     if lo < -_SLACK:
         raise NegativeWeight(f"weight {g.text!r} reaches {lo} on the interval")
     steps = _remember(g, ("monotone_profile", interval.a, interval.b), lambda: _steps(values))
-    return _mirrors_match(g, interval, values), _monotonicity(*steps), hi <= 1.0 + _SLACK
+    return _monotonicity(*steps), hi <= 1.0 + _SLACK

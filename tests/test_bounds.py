@@ -41,7 +41,6 @@ from convexcert.core import (
     ParameterOutOfRange,
     RangeViolated,
     Rule,
-    SymmetryViolated,
     enclosure_contains,
 )
 from convexcert.expr import evaluation_spec, function_spec
@@ -95,6 +94,11 @@ class TestHermiteHadamard:
         with pytest.raises(ParameterOutOfRange):
             hermite_hadamard(SQ, Interval(1.0, 1.0))
 
+    def test_ends_whose_sum_overflows(self):
+        # the midpoint is halved before the sum, so it is not inf
+        enc = hermite_hadamard(function_spec("1e-300*x"), Interval(1e308, 1.5e308))
+        assert (enc.lower, enc.upper) == (1.25e8, 1.25e8)
+
 
 class TestFejer:
     def test_square_with_parabola_weight(self):
@@ -119,9 +123,13 @@ class TestFejer:
         assert r.value == pytest.approx(FG_PAR, abs=1e-11)
         assert enclosure_contains(enc, r.value, tol=1e-10)
 
-    def test_asymmetric_weight_rejected(self):
-        with pytest.raises(SymmetryViolated):
-            fejer(SQ, evaluation_spec("x"), UNIT)
+    def test_asymmetric_weight_sits_at_its_barycentre(self):
+        # g = t on [0, 1]: G = 1/2 and x̄ = 2/3, so f(x̄)·G = 2/9 and the
+        # chord of t² at x̄ gives 1/3, around ∫ t³ dt = 1/4
+        enc = fejer(SQ, evaluation_spec("x"), UNIT)
+        assert enc.lower == pytest.approx(2.0 / 9.0, rel=1e-14)
+        assert enc.upper == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert enclosure_contains(enc, 0.25)
 
     def test_weight_spec_is_recentred_for_new_interval(self):
         ws = classify_weight(evaluation_spec("1"), UNIT)
@@ -132,10 +140,9 @@ class TestFejer:
         assert enclosure_contains(enc, 26.0 / 3.0, tol=1e-10)
 
     def test_weight_spec_from_another_interval_is_checked_again(self):
-        # 1 - 4(x-1)² is nonnegative and symmetric on [0.5, 1.5], the
+        # 1 - 4(x-1)² is nonnegative on [0.5, 1.5], the
         # interval it was classified on, but reaches -3 on [0, 2]
         ws = classify_weight(evaluation_spec("1 - 4*(x - 1)^2"), Interval(0.5, 1.5))
-        assert ws.symmetric
         iv = Interval(0.0, 2.0)
         for call in (
             lambda: fejer(SQ, ws, iv),
@@ -321,9 +328,15 @@ class TestComplementChains:
         with pytest.raises(RangeViolated):
             complement_weight_chains(EXP, evaluation_spec("5*x*(1 - x)"), EXP_BAND, UNIT)
 
-    def test_asymmetric_weight_rejected(self):
-        with pytest.raises(SymmetryViolated):
-            complement_weight_chains(EXP, evaluation_spec("x"), EXP_BAND, UNIT)
+    def test_asymmetric_weight_in_range_is_accepted(self):
+        # g = t: the middle terms take the chord side ℓ(x̄)·G = (1 + 2e)/6,
+        # FG = ∫ t e^t dt = 1 and P = ∫ t²(1 - t) dt = 1/12
+        chain1, chain2 = complement_weight_chains(EXP, evaluation_spec("x"), EXP_BAND, UNIT)
+        chord = (1.0 + 2.0 * E) / 6.0
+        assert chain1[1] == pytest.approx(chord - 1.0 - 0.5 / 12.0, abs=1e-12)
+        assert chain2[1] == pytest.approx(0.5 * E / 12.0 - chord + 1.0, abs=1e-12)
+        for left, middle, zero in (chain1, chain2):
+            assert left >= middle >= zero
 
     def test_width_whose_cube_overflows_is_out_of_range(self):
         # w³ overflows on [0, 1e103], but the endpoint moment w³/12 does not
@@ -411,12 +424,18 @@ class TestEndpointFunctionals:
         ids=["h1", "h2"],
     )
     def test_is_the_weighted_gap_on_a_x(self, functional, rule, weight):
+        # h1 and h2 keep the paper's midpoint forms on [a, x]: (f(a)+f(x))/2
+        # and f((a+x)/2) against ∫ₐˣ g, for monotone g that is not symmetric
         g = evaluation_spec(weight)
-        assert functional(EXP, g, UNIT, 1.0) == target_gap(rule, EXP, UNIT, g=g).value
-        for x in (0.25, 0.6):
+        for x in (0.25, 0.6, 1.0):
             value = functional(EXP, g, UNIT, x)
             # ∫ₐˣ is read from the [a, b] run, so only the last bits may move
-            expected = target_gap(rule, EXP, Interval(0.0, x), g=g).value
+            part = Interval(0.0, x)
+            rg, rfg = integrate(g, part).value, integrate(EXP, part, 1e-10, g).value
+            if rule is Rule.WEIGHTED_TRAPEZOID_GAP:
+                expected = 0.5 * (EXP(0.0) + EXP(x)) * rg - rfg
+            else:
+                expected = rfg - EXP(0.5 * x) * rg
             assert abs(value - expected) <= 1e-14 * max(1.0, abs(value))
             rg = _integral_to(g, UNIT, x, 1e-10)
             rfg = _integral_to(EXP, UNIT, x, 1e-10, g)
@@ -549,11 +568,21 @@ class TestVasicLackovic:
             vasic_lackovic(SQ, evaluation_spec("1"), NodeWeights(1.0, 1.0), UNIT, 0.0)
 
     def test_weight_symmetry_is_about_window_center(self):
-        # x(1-x) is symmetric about 0.5 = the window centre here
+        # x(1-x) is symmetric about 0.5 = the window centre here, so the
+        # sides are f(0.5)·G and ℓ(0.5)·G with G = ∫ over [0.25, 0.75] = 11/96
         enc = vasic_lackovic(SQ, evaluation_spec(PARABOLA_W), NodeWeights(1.0, 1.0), UNIT, 0.25)
         assert enc.source_rule is Rule.VASIC_LACKOVIC
-        with pytest.raises(SymmetryViolated):
-            vasic_lackovic(SQ, evaluation_spec("x"), NodeWeights(1.0, 1.0), UNIT, 0.25)
+        assert enc.lower == pytest.approx(0.25 * 11.0 / 96.0, rel=1e-14)
+        assert enc.upper == pytest.approx(0.5 * 11.0 / 96.0, rel=1e-14)
+
+    def test_weight_need_not_be_symmetric_about_the_window_centre(self):
+        # g = t on the window [1/3, 1] of (p, q) = (1, 2): G = 4/9 and
+        # x̄ = 13/18; the chord of t² over [0, 1] is t
+        enc = vasic_lackovic(SQ, evaluation_spec("x"), NodeWeights(1.0, 2.0), UNIT, 1.0 / 3.0)
+        assert enc.source_rule is Rule.VASIC_LACKOVIC
+        assert enc.lower == pytest.approx(4.0 / 9.0 * (13.0 / 18.0) ** 2, rel=1e-14)
+        assert enc.upper == pytest.approx(4.0 / 9.0 * 13.0 / 18.0, rel=1e-14)
+        assert enclosure_contains(enc, (1.0 - 1.0 / 81.0) / 4.0)  # ∫ t³ over the window
 
 
 class TestTargets:
@@ -571,16 +600,24 @@ class TestTargets:
         assert target_gap(Rule.MIDPOINT_GAP, EXP, iv).error_estimate == err_f / 4.0
         assert target_gap(Rule.TRAPEZOID_GAP, EXP, iv).error_estimate == err_f / 4.0
         assert [target_gap(r, EXP, iv).error_estimate for r in BISECTION] == [err_f / 4.0] * 2
+        # the weighted gaps carry ∫g and T = ∫(t - 2)g, the first moment
+        # about the midpoint: the chord side ℓ(2)·∫g + s·T, s the chord's
+        # slope, and the tangent side at the barycentre y = 2 + T/∫g
         g = evaluation_spec("exp(0 - (x - 2)^2)")
         err_g = integrate(g, iv).error_estimate
+        err_t = quadrature.moment_about(g, iv, 2.0, 1).error_estimate
         err_fg = integrate(lambda t: EXP(t) * g(t), iv).error_estimate
-        assert err_g > 0.0
+        assert err_g > 0.0 and err_t > 0.0
         trap = target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, EXP, iv, g=g)
         mid = target_gap(Rule.WEIGHTED_MIDPOINT_GAP, EXP, iv, g=g)
+        slope = (math.exp(4.0) - 1.0) / 4.0
         assert trap.error_estimate == pytest.approx(
-            0.5 * (1.0 + math.exp(4.0)) * err_g + err_fg, rel=1e-12
+            0.5 * (1.0 + math.exp(4.0)) * err_g + slope * err_t + err_fg, rel=1e-12
         )
-        assert mid.error_estimate == pytest.approx(math.exp(2.0) * err_g + err_fg, rel=1e-12)
+        # y is 2 up to rounding, where f = f' = e²
+        assert mid.error_estimate == pytest.approx(
+            math.exp(2.0) * (err_g + err_t) + err_fg, rel=1e-12
+        )
 
     def test_width_dividing_targets_reject_a_degenerate_interval(self):
         point = Interval(1.0, 1.0)
@@ -604,3 +641,52 @@ class TestTargets:
         a = target_fejer(EXP, g_fn, UNIT)
         b = target_fejer(EXP, g_ws, UNIT)
         assert a.value == b.value
+
+
+# weights that are not symmetric about any centre: (text, mpmath form)
+ASYMMETRIC_WEIGHTS = {
+    "cubic": ("0.1 + 0.9*x^3", lambda t: 0.1 + 0.9 * t**3),
+    "falling": ("1 - 0.9*x + 0.2*x^2", lambda t: 1 - 0.9 * t + 0.2 * t**2),
+}
+
+
+@pytest.mark.parametrize("name", ASYMMETRIC_WEIGHTS)
+def test_asymmetric_weights_agree_with_mpmath(name):
+    """Every weighted rule against mpmath for f = exp on [0, 1] with a
+    weight in [0, 1] that no reflection maps to itself."""
+    mpmath = pytest.importorskip("mpmath")
+    text, mp_g = ASYMMETRIC_WEIGHTS[name]
+    g = evaluation_spec(text)
+
+    def quad(fn, a=0.0, b=1.0):
+        return float(mpmath.quad(fn, [a, b]))
+
+    G, T = quad(mp_g), quad(lambda t: t * mp_g(t))
+    FG = quad(lambda t: mpmath.exp(t) * mp_g(t))
+    xbar = T / G
+    chord = (1.0 - xbar + E * xbar) * G  # ∫ ℓ g with ℓ(t) = 1 + (e - 1)t
+    P = quad(lambda t: t * (1 - t) * mp_g(t))
+    S = quad(lambda t: (t - xbar) ** 2 * mp_g(t))
+
+    def close(enc, lower, upper, target):
+        assert enc.lower == pytest.approx(lower, rel=1e-12, abs=1e-14)
+        assert enc.upper == pytest.approx(upper, rel=1e-12, abs=1e-14)
+        assert enclosure_contains(enc, target, tol=1e-12)
+
+    close(fejer(EXP, g, UNIT), math.exp(xbar) * G, chord, FG)
+    trap, mid = chord - FG, FG - math.exp(xbar) * G
+    assert target_gap(Rule.WEIGHTED_TRAPEZOID_GAP, EXP, UNIT, g=g).value == pytest.approx(trap, abs=1e-13)
+    assert target_gap(Rule.WEIGHTED_MIDPOINT_GAP, EXP, UNIT, g=g).value == pytest.approx(mid, abs=1e-13)
+    close(fejer_trapezoid_gap_bounds(EXP, g, EXP_BAND, UNIT), 0.5 * P, 0.5 * E * P, trap)
+    close(fejer_midpoint_gap_bounds(EXP, g, EXP_BAND, UNIT), 0.5 * S, 0.5 * E * S, mid)
+
+    # the window [0.1, 0.5] of (p, q) = (7, 3), still with the chord of [0, 1]
+    wG, wT = quad(mp_g, 0.1, 0.5), quad(lambda t: t * mp_g(t), 0.1, 0.5)
+    wFG = quad(lambda t: mpmath.exp(t) * mp_g(t), 0.1, 0.5)
+    window = vasic_lackovic(EXP, g, NodeWeights(7.0, 3.0), UNIT, 0.2)
+    close(window, math.exp(wT / wG) * wG, (1.0 - wT / wG + E * wT / wG) * wG, wFG)
+
+    (left1, mid1, _), (left2, mid2, _) = complement_weight_chains(EXP, g, EXP_BAND, UNIT)
+    assert mid1 == pytest.approx(chord - FG - 0.5 * P, abs=1e-12)
+    assert mid2 == pytest.approx(0.5 * E * P - chord + FG, abs=1e-12)
+    assert left1 >= mid1 >= 0.0 and left2 >= mid2 >= 0.0

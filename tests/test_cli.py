@@ -117,26 +117,37 @@ class TestBounds:
     OFF_CENTRE = ("bounds", "--f", "exp(x)", "--a", "0", "--b", "1", "--p", "2", "--q", "1",
                   "--y", "0.3")
 
-    def test_off_centre_window_weight_drops_only_the_window_rule(self, capsys):
-        # x(1 - x) is symmetric about 1/2, not about the barycentre 1/3
+    def test_off_centre_window_weight_keeps_every_rule(self, capsys):
+        # x(1 - x) is symmetric about 1/2, not about the window centre 1/3;
+        # no weighted rule needs it to be
         code, out, err = run_cli(capsys, *self.OFF_CENTRE, "--g", "x*(1 - x)")
         assert code == 0
         assert err == ""
         lines = out.splitlines()
-        assert lines[0] == ("note: vasic-lackovic skipped: weight 'x*(1.0 - x)' "
-                            "is not symmetric about 0.3333333333333333")
-        assert [line.split(":")[0] for line in lines[1:]] == [
+        assert [line.split(":")[0] for line in lines] == [
             "hermite-hadamard", "fejer", "weighted-trapezoid-gap", "weighted-midpoint-gap",
             "midpoint-gap", "trapezoid-gap", "chord-gap", "symmetric-pair-gap",
-            "bisection-mean", "bisection-quarter",
+            "bisection-mean", "bisection-quarter", "vasic-lackovic",
         ]
+        assert all(line.endswith("-> contained") for line in lines)
 
-    def test_off_centre_window_weight_fails_the_window_rule_alone(self, capsys):
+    def test_off_centre_window_weight_certifies_the_window_rule_alone(self, capsys):
         code, out, err = run_cli(capsys, *self.OFF_CENTRE, "--g", "x*(1 - x)",
                                  "--rule", "vasic-lackovic")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: weight 'x*(1.0 - x)' is not symmetric about 0.333")
+        assert (code, err) == (0, "")
+        assert out.startswith("vasic-lackovic: ") and out.endswith("-> contained\n")
+
+    @pytest.mark.parametrize("rule", ["all", "fejer"])
+    def test_asymmetric_weight_certifies_every_weighted_rule(self, capsys, rule):
+        code, out, err = run_cli(capsys, "bounds", "--f", "exp(x)", "--a", "0", "--b", "1",
+                                 "--g", "x^2 + 0.1", "--rule", rule, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        expected = ["fejer", "weighted-trapezoid-gap", "weighted-midpoint-gap"]
+        weighted = [c["rule"] for c in payload if c["rule"] in expected]
+        assert weighted == (expected if rule == "all" else ["fejer"])
+        assert len(payload) == (10 if rule == "all" else 1)
+        assert all(c["contained"] and c["oracle_converged"] for c in payload)
 
     def test_weight_symmetric_about_both_centres_keeps_every_rule(self, capsys):
         code, out, _ = run_cli(capsys, *self.OFF_CENTRE, "--g", "1", "--json")

@@ -45,6 +45,11 @@ class TestInterval:
             Interval(-1e308, 1e308)
         assert Interval(-8e307, 8e307).width == 1.6e308
 
+    def test_midpoint_of_ends_whose_sum_overflows(self):
+        assert Interval(1e308, 1.5e308).midpoint == 1.25e308
+        assert Interval(-1.5e308, -1e308).midpoint == -1.25e308
+        assert Interval(0.1, 0.7).midpoint == 0.5 * (0.1 + 0.7)
+
     def test_frozen(self):
         iv = Interval(0.0, 1.0)
         with pytest.raises(AttributeError):

@@ -2,6 +2,7 @@
 Young refinements."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -330,6 +331,21 @@ class TestYoung:
         assert young_difference_target(3.0, 3.0, 0.3) == 0.0
         enc = young_ratio_bounds(3.0, 3.0, 0.3)
         assert (enc.lower, enc.upper) == (1.0, 1.0)
+
+    def test_difference_is_the_chord_gap_of_exp_bit_for_bit(self):
+        # the chord gap of exp on [log α, log β], whose band is (α, β),
+        # rounds exactly as the closed form λ(1-λ)/2·log²(α/β)·(α, β)
+        rng = random.Random(20005)
+        cases = [(math.exp(rng.uniform(-5.0, 5.0)), math.exp(rng.uniform(-5.0, 5.0)), rng.random())
+                 for _ in range(2000)]
+        cases += [(2.0, 2.0, 0.3), (1.0, 3.0, 0.0), (1.0, 3.0, 1.0)]
+        cases += [(5e-324, 1e308, 0.25), (1e308, 5e-324, 0.75)]
+        for a, b, lam in cases:
+            alpha, beta, w = (a, b, lam) if a <= b else (b, a, 1.0 - lam)
+            s = w * (1.0 - w) * 0.5 * (math.log(alpha) - math.log(beta)) ** 2
+            enc = young_difference_bounds(a, b, lam)
+            assert (enc.lower, enc.upper) == (s * alpha, s * beta), (a, b, lam)
+            assert enc.source_rule is Rule.YOUNG_DIFFERENCE
 
     def test_operand_order_does_not_matter(self):
         # swapping operands replaces lam by 1 - lam, which is exact only

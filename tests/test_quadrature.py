@@ -20,12 +20,10 @@ from convexcert.expr import curvature_range, evaluation_spec, function_spec, req
 from convexcert.quadrature import (
     MAX_DEPTH,
     _integral_to,
-    check_monotone,
-    check_symmetry,
     classify_weight,
     integrate,
     moment_ab,
-    moment_center,
+    moment_about,
     monotone_profile,
 )
 
@@ -198,16 +196,18 @@ def _count(monkeypatch, name):
 
 
 class TestMemo:
-    def test_one_trial_runs_11_integrations(self, monkeypatch):
+    def test_one_trial_runs_13_integrations(self, monkeypatch):
         # 38 integrate calls per trial, 14 of them repeats of an
         # integrand, interval and tolerance the trial already integrated;
         # the h1/h2 points and the midpoint of the subinterval checks are
-        # edges of the [a, b] panels, so their [a, x] integrals run nothing
+        # edges of the [a, b] panels, so their [a, x] integrals run nothing;
+        # the weighted rules add the first moment of their weight on [a, b]
+        # and on the window
         runs = _count(monkeypatch, "_adaptive")
         refinements = _count(monkeypatch, "_refine")
         verify.falsify(1, 42)
-        assert len(runs) == 11
-        assert len(refinements) == 11  # no part-panel run
+        assert len(runs) == 13
+        assert len(refinements) == 13  # no part-panel run
 
     def test_second_integral_of_a_spec_evaluates_nothing(self, monkeypatch):
         f, g = function_spec("exp(x)"), evaluation_spec("x*(1 - x)")
@@ -226,7 +226,7 @@ class TestMemo:
         f, g = function_spec("exp(x)"), evaluation_spec("x*(1 - x)")
         integrate(f, UNIT, 1e-10, g)
         moment_ab(g, UNIT)
-        moment_center(g, UNIT)
+        moment_about(g, UNIT, 0.5, 2)
         monotone_profile(g, UNIT)
         curvature_range(f, UNIT)
         require_convex(f, UNIT)
@@ -271,7 +271,8 @@ class TestSharedNodeValues:
         integrate(g, UNIT)
         evaluated = sum(points)
         moment_ab(g, UNIT)
-        moment_center(g, UNIT)
+        moment_about(g, UNIT, 0.5, 1)
+        moment_about(g, UNIT, 0.6, 2)
         assert sum(points) == evaluated
 
     def test_memo_keeps_floors_and_panel_tables(self):
@@ -323,10 +324,11 @@ class TestSharedNodeValues:
 
     def test_weight_failing_at_a_mirror_after_the_first_miss_classifies(self):
         # the mirror 1 - x of the grid point x = 0.7000000000000001 is the
-        # pole, but the first grid point already misses its mirror
+        # pole; classifying samples the grid alone, never a mirror
         g = evaluation_spec("1/(x - 0.29999999999999993)^2")
-        assert not classify_weight(g, UNIT).symmetric
-        assert not check_symmetry(g, UNIT)
+        with pytest.raises(DomainError):
+            g(1.0 - 0.7000000000000001)
+        assert classify_weight(g, UNIT).monotone is Monotonicity.NEITHER
 
 
 # x where the [0, 1] run of each integrand has an edge (0.25), misses one
@@ -404,14 +406,23 @@ class TestMoments:
         assert r.value == pytest.approx(1.0 / 6.0, abs=1e-13)
 
     def test_central_moment_of_unit_weight(self):
-        r = moment_center(lambda t: 1.0, UNIT)
-        assert r.value == pytest.approx(1.0 / 3.0, abs=1e-13)
+        r = moment_about(lambda t: 1.0, UNIT, 0.5, 2)
+        assert r.value == pytest.approx(1.0 / 12.0, abs=1e-13)
+        assert moment_about(lambda t: 1.0, UNIT, 0.5, 1).value == pytest.approx(0.0, abs=1e-16)
 
     def test_moments_scale_with_interval(self):
         iv = Interval(1.0, 3.0)
-        # ∫ (t-1)(3-t) dt = w^3/6 with w = 2; ∫ (2t-4)^2 dt = w^3/3
+        # ∫ (t-1)(3-t) dt = w^3/6 with w = 2; ∫ (t-2)^2 dt = w^3/12;
+        # ∫ (t-1) dt = w^2/2
         assert moment_ab(lambda t: 1.0, iv).value == pytest.approx(8.0 / 6.0, abs=1e-12)
-        assert moment_center(lambda t: 1.0, iv).value == pytest.approx(8.0 / 3.0, abs=1e-12)
+        assert moment_about(lambda t: 1.0, iv, 2.0, 2).value == pytest.approx(8.0 / 12.0, abs=1e-12)
+        assert moment_about(lambda t: 1.0, iv, 1.0, 1).value == pytest.approx(2.0, abs=1e-12)
+
+    def test_moment_about_is_remembered_per_point(self):
+        g = evaluation_spec("x^3")
+        first = moment_about(g, UNIT, 0.25, 2)
+        assert moment_about(g, UNIT, 0.25, 2) is first
+        assert moment_about(g, UNIT, 0.75, 2) != first
 
     def test_endpoint_moment_nonnegative_for_nonnegative_weight(self):
         r = moment_ab(lambda t: abs(math.sin(20.0 * t)), UNIT)
@@ -419,43 +430,29 @@ class TestMoments:
 
 
 class TestChecks:
-    def test_symmetry_accepts_parabola(self):
-        assert check_symmetry(lambda t: t * (1.0 - t), UNIT)
-
-    def test_symmetry_accepts_tent(self):
-        assert check_symmetry(lambda t: 1.0 - abs(2.0 * t - 1.0), UNIT)
-
-    def test_symmetry_rejects_identity(self):
-        assert not check_symmetry(lambda t: t, UNIT)
-
-    def test_symmetry_on_shifted_interval(self):
-        iv = Interval(2.0, 6.0)
-        assert check_symmetry(lambda t: (t - 2.0) * (6.0 - t), iv)
-        assert not check_symmetry(lambda t: t - 2.0, iv)
-
     def test_monotone_classification(self):
-        assert check_monotone(lambda t: t, UNIT) is Monotonicity.INCREASING
-        assert check_monotone(lambda t: 1.0 - t, UNIT) is Monotonicity.DECREASING
-        assert check_monotone(lambda t: t * (1.0 - t), UNIT) is Monotonicity.NEITHER
+        def monotone(text):
+            return classify_weight(evaluation_spec(text), UNIT).monotone
+
+        assert monotone("x") is Monotonicity.INCREASING
+        assert monotone("1 - x") is Monotonicity.DECREASING
+        assert monotone("x*(1 - x)") is Monotonicity.NEITHER
 
     def test_flat_weight_counts_as_weakly_monotone(self):
         # documented policy: a constant weight classifies as DECREASING
         # (it is weakly monotone both ways, and every direction-gated
         # operation accepts it)
-        assert check_monotone(lambda t: 0.7, UNIT) is Monotonicity.DECREASING
+        assert classify_weight(evaluation_spec("0.7"), UNIT).monotone is Monotonicity.DECREASING
 
 
 class TestClassifyWeight:
     def test_symmetric_parabola(self):
         ws = classify_weight(evaluation_spec("x*(1 - x)"), UNIT)
-        assert ws.symmetric
         assert ws.range01
         assert ws.monotone is Monotonicity.NEITHER
-        assert ws.center == 0.5
 
     def test_rising_ramp(self):
         ws = classify_weight(evaluation_spec("2*x"), UNIT)
-        assert not ws.symmetric
         assert not ws.range01
         assert ws.monotone is Monotonicity.INCREASING
 
@@ -467,19 +464,18 @@ class TestClassifyWeight:
         ws = classify_weight(evaluation_spec("0 - 1e-12"), UNIT)
         assert ws.range01
 
-    def test_weight_is_sampled_once_plus_mirrors(self):
-        # 101 grid values, then the mirrored points until the first
-        # mismatch: all 101 for a symmetric weight, one for 2*x
-        for text, calls in (("x*(1 - x)", 202), ("2*x", 102)):
+    def test_weight_is_sampled_once(self):
+        # the 101 grid values, and no mirrored points
+        for text in ("x*(1 - x)", "2*x"):
             g = Counted(text)
             classify_weight(g, UNIT)
-            assert g.calls == calls, text
+            assert g.calls == 101, text
 
     def test_remembered_per_interval(self, monkeypatch):
         g = evaluation_spec("1 + x^2")
         ws = classify_weight(g, UNIT)
         other = classify_weight(g, Interval(-1.0, 1.0))
-        assert (ws.center, ws.symmetric, other.center, other.symmetric) == (0.5, False, 0.0, True)
+        assert (ws.monotone, other.monotone) == (Monotonicity.INCREASING, Monotonicity.NEITHER)
         monkeypatch.setattr(quadrature, "_at", None)  # a memo hit samples nothing
         assert classify_weight(g, UNIT) == ws
         # the memo holds no spec, so g dies without the cycle collector
@@ -501,10 +497,9 @@ class TestClassifyWeight:
         "text", ["0.7", "x", "1 - x", "1 - abs(2*x - 1)", "x*(1 - x)*(1 + x)", "2*x"]
     )
     def test_flags_match_the_standalone_checks(self, text):
-        g = evaluation_spec(text)
-        ws = classify_weight(g, UNIT)
-        assert ws.symmetric == check_symmetry(g, UNIT)
-        assert ws.monotone is check_monotone(g, UNIT)
+        # a fresh spec, so the profile is sampled on its own
+        profile = monotone_profile(evaluation_spec(text), UNIT)
+        assert classify_weight(evaluation_spec(text), UNIT).monotone is quadrature._monotonicity(*profile)
 
 
 class Counted:

@@ -14,7 +14,8 @@ from convexcert.core import (
     ParameterOutOfRange,
     Provenance,
 )
-from convexcert.quadrature import check_monotone, check_symmetry
+from convexcert.expr import evaluation_spec
+from convexcert.quadrature import classify_weight
 from convexcert.verify import (
     CHECKS_PER_TRIAL,
     ConvexInstance,
@@ -100,9 +101,11 @@ class TestWeightGeneration:
     @pytest.mark.parametrize("seed", range(8))
     def test_symmetric_weight(self, seed):
         ws = random_symmetric_weight(seed, self.IV)
-        assert ws.symmetric
         assert ws.range01
-        assert check_symmetry(ws.function, self.IV)
+        a, b = self.IV.a, self.IV.b
+        for k in range(51):
+            x = a + k * self.IV.width / 50.0
+            assert ws.function(x) == pytest.approx(ws.function(a + b - x), rel=1e-12)
         values = [ws.function(self.IV.a + k * self.IV.width / 50.0) for k in range(51)]
         assert min(values) >= 0.0
         assert max(values) <= 1.0 + 1e-9
@@ -118,8 +121,8 @@ class TestWeightGeneration:
         inc = random_monotone_weight(seed, self.IV, decreasing=False)
         assert dec.monotone is Monotonicity.DECREASING
         assert inc.monotone is Monotonicity.INCREASING
-        assert check_monotone(dec.function, self.IV) is Monotonicity.DECREASING
-        assert check_monotone(inc.function, self.IV) is Monotonicity.INCREASING
+        assert classify_weight(evaluation_spec(dec.function.ast), self.IV).monotone is Monotonicity.DECREASING
+        assert classify_weight(evaluation_spec(inc.function.ast), self.IV).monotone is Monotonicity.INCREASING
 
 
 class TestSlopeNormalized:
