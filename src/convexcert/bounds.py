@@ -9,8 +9,9 @@ moments.  The oracle targets the bounds are meant to bracket
 are provided alongside as ``target_*`` evaluators so callers (CLI,
 falsification harness, tests) can verify containment independently.
 
-The six unweighted gaps are curvature bands times one scale factor each,
-tabulated on :func:`gap_bounds`.  The weighted rules need no symmetry
+Each of the six unweighted gaps is a table row L[f] = α·mean(f) + Σ β·f(x_j):
+its oracle value on [a, b] and on [a, x], with the band's scale w²·L[t²/2]
+(see :func:`gap_bounds`).  The weighted rules need no symmetry
 of the nonnegative weight g (Lah & Ribarič 1973; Niculescu & Persson,
 *Convex Functions and Their Applications*, 2006): with G = ∫g, its
 barycentre x̄ and ℓ the chord of f over [a, b], f(x̄)·G <= ∫fg <= ℓ(x̄)·G,
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, NamedTuple, Union
 
 from .core import (
@@ -165,7 +168,7 @@ def hermite_hadamard(f: FunctionSpec, interval: Interval) -> Enclosure:
     a convex f.
 
     Raises:
-        ConvexityViolated: unless f'' >= -1e-9 on the interval.
+        ConvexityViolated: unless f'' >= -2⁻³⁶·max|f''| on the interval.
         ParameterOutOfRange: for degenerate intervals (the integral
             mean needs a < b).
     """
@@ -263,30 +266,54 @@ class _Gap(NamedTuple):
     label: str  # the operation name in falsification reports
     description: str
     scale: Callable[[float, float | None], float]  # s from (w², λ)
+    alpha: float  # the coefficient of the integral mean
+    nodes: Callable[[float | None], tuple[tuple[float, float, float], ...]]  # (β, u, v) from λ
     divisor: float = 1.0
     lam: bool = False
 
 
 # The six unweighted gaps, in registry order; each band is (m·s/d, M·s/d), see _band.
 _GAPS: dict[Rule, _Gap] = {
-    Rule.MIDPOINT_GAP: _Gap("hh_midpoint_gap_bounds", "midpoint gap", lambda w2, lam: w2 / 24.0),
-    Rule.TRAPEZOID_GAP: _Gap("hh_trapezoid_gap_bounds", "trapezoid gap", lambda w2, lam: w2 / 12.0),
+    Rule.MIDPOINT_GAP: _Gap(
+        "hh_midpoint_gap_bounds", "midpoint gap", lambda w2, lam: w2 / 24.0,
+        1.0, lambda lam: ((-1.0, 0.5, 0.5),)),
+    Rule.TRAPEZOID_GAP: _Gap(
+        "hh_trapezoid_gap_bounds", "trapezoid gap", lambda w2, lam: w2 / 12.0,
+        -1.0, lambda lam: ((0.5, 1.0, 0.0), (0.5, 0.0, 1.0))),
     Rule.CHORD_GAP: _Gap(
-        "chord_gap_bounds", "chord gap", lambda w2, lam: lam * (1.0 - lam) * w2 / 2.0, lam=True
-    ),
+        "chord_gap_bounds", "chord gap", lambda w2, lam: lam * (1.0 - lam) * w2 / 2.0,
+        0.0, lambda lam: ((lam, 1.0, 0.0), (1.0 - lam, 0.0, 1.0), (-1.0, lam, 1.0 - lam)), lam=True),
     Rule.SYMMETRIC_PAIR_GAP: _Gap(
-        "symmetric_pair_gap_bounds",
-        "symmetric pair gap",
-        lambda w2, lam: (1.0 - 2.0 * lam) ** 2 * w2 / 8.0,
-        lam=True,
-    ),
+        "symmetric_pair_gap_bounds", "symmetric pair gap", lambda w2, lam: (1.0 - 2.0 * lam) ** 2 * w2 / 8.0,
+        0.0, lambda lam: ((0.5, lam, 1.0 - lam), (0.5, 1.0 - lam, lam), (-1.0, 0.5, 0.5)), lam=True),
     Rule.BISECTION_MEAN: _Gap(
-        "bisection_bounds_mean", "trapezoid-vs-mean bisection gap", lambda w2, lam: w2, 48.0
-    ),
+        "bisection_bounds_mean", "trapezoid-vs-mean bisection gap", lambda w2, lam: w2,
+        -1.0, lambda lam: ((0.25, 1.0, 0.0), (0.25, 0.0, 1.0), (0.5, 0.5, 0.5)), 48.0),
     Rule.BISECTION_QUARTER: _Gap(
-        "bisection_bounds_quarter", "mean-vs-quarter-points bisection gap", lambda w2, lam: w2, 96.0
-    ),
+        "bisection_bounds_quarter", "mean-vs-quarter-points bisection gap", lambda w2, lam: w2,
+        1.0, lambda lam: ((-0.5, 0.75, 0.25), (-0.5, 0.25, 0.75)), 96.0),
 }
+
+
+def _gap_value(rule: Rule, f, interval: Interval, x: float, tol: float, lam: Lambda | None) -> QuadResult:
+    """The oracle value of an unweighted gap on [a, x] inside [a, b]: its
+    row's terms β·f(u·a + v·x) summed left to right, then α·mean(f), with
+    ∫ₐˣ f read from the run over [a, b] (see :func:`_integral_to`) and
+    |α| times its error; without a mean, no error and one evaluation a node."""
+    gap = _GAPS[rule]
+    if gap.lam and lam is None:
+        raise ParameterOutOfRange(f"{gap.description} needs lambda")
+    a = interval.a
+    if gap.alpha:
+        if x == a:
+            raise ParameterOutOfRange(f"{rule.value} needs a non-degenerate interval")
+        r = _integral_to(f, interval, x, tol)
+    terms = [beta * f(u * a + v * x) for beta, u, v in gap.nodes(None if lam is None else lam.value)]
+    val = reduce(add, terms)
+    if not gap.alpha:
+        return QuadResult(val, 0.0, len(terms), True)
+    mean, err = r.value / (x - a), r.error_estimate / (x - a)
+    return QuadResult(val + gap.alpha * mean, abs(gap.alpha) * err, r.evaluations, r.converged)
 
 
 def _width_power(w: float, k: int, what: str) -> float:
@@ -522,19 +549,9 @@ def _subinterval_rho(f: FunctionSpec, interval: Interval, x: float, degenerate: 
     return (x - interval.a) / interval.width
 
 
-def _gaps(
-    f: FunctionSpec, interval: Interval, x: float, tol: float, trapezoid: bool = True
-) -> tuple[float | None, float]:
-    """(trapezoid gap, midpoint gap) of f on [a, x] from one ∫ₐˣ f, read
-    from the run over the interval [a, b] (its prefix when x < b).
-
-    With ``trapezoid=False`` the first entry is None and f is not
-    evaluated at the endpoints.
-    """
-    a = interval.a
-    mean = _oracle(_integral_to(f, interval, x, tol), "integral of f") / (x - a)
-    trap = 0.5 * (f(a) + f(x)) - mean if trapezoid else None
-    return trap, mean - f(0.5 * (a + x))
+def _gap_on(rule: Rule, f: FunctionSpec, interval: Interval, x: float, tol: float) -> float:
+    """The gap of ``rule`` on [a, x], raising if its ∫ₐˣ f did not converge."""
+    return _oracle(_gap_value(rule, f, interval, x, tol, None), "integral of f")
 
 
 def hh_gap_monotone(
@@ -549,8 +566,9 @@ def hh_gap_monotone(
     and ∫ₐˣ f is read from the run over [a, b].
     """
     rho = _subinterval_rho(f, interval, x, "gap monotonicity needs a non-degenerate interval")
-    sub_trap, sub_mid = (0.0, 0.0) if x == interval.a else _gaps(f, interval, x, tol)
-    trap, mid = _gaps(f, interval, interval.b, tol)
+    rules = (Rule.TRAPEZOID_GAP, Rule.MIDPOINT_GAP)
+    sub_trap, sub_mid = (0.0, 0.0) if x == interval.a else (_gap_on(r, f, interval, x, tol) for r in rules)
+    trap, mid = (_gap_on(r, f, interval, interval.b, tol) for r in rules)
     return (trap, rho * sub_trap), (mid, rho * sub_mid)
 
 
@@ -579,8 +597,8 @@ def refined_gap_chains(
     rho = _subinterval_rho(f, interval, x, "refined chains need a non-degenerate interval")
     w = interval.width
     wx = x - interval.a
-    g_ab = _gaps(f, interval, interval.b, tol, trapezoid=False)[1]
-    g_ax = None if x == interval.a else _gaps(f, interval, x, tol, trapezoid=False)[1]
+    g_ab = _gap_on(Rule.MIDPOINT_GAP, f, interval, interval.b, tol)
+    g_ax = None if x == interval.a else _gap_on(Rule.MIDPOINT_GAP, f, interval, x, tol)
     w2 = _width_power(w, 2, "refined chains")  # wx <= w, so wx**2 is finite too
     if g_ax is None:
         second_a = second_b = 0.0
@@ -618,7 +636,7 @@ def vasic_lackovic(
     which is exactly the condition keeping the window inside [a, b].
     """
     p, q = weights.p, weights.q
-    if y <= 0.0:
+    if not y > 0.0:
         raise ParameterOutOfRange(f"window half-width must be > 0, got {y}")
     ps, qs = _scaled(weights)
     radius = interval.width * min(ps, qs) / (ps + qs)
@@ -634,16 +652,12 @@ def vasic_lackovic(
 # --------------------------------------------------------------------------
 
 
-def _integral_mean(f, interval: Interval, tol: float, what: str) -> QuadResult:
-    if interval.is_degenerate():
-        raise ParameterOutOfRange(f"{what} needs a non-degenerate interval")
-    r = integrate(f, interval, tol)
-    return QuadResult(r.value / interval.width, r.error_estimate / interval.width, r.evaluations, r.converged)
-
-
 def target_integral_mean(f, interval: Interval, tol: float = 1e-10) -> QuadResult:
     """Oracle for the integral mean of f (the Hermite–Hadamard target)."""
-    return _integral_mean(f, interval, tol, "integral mean")
+    if interval.is_degenerate():
+        raise ParameterOutOfRange("integral mean needs a non-degenerate interval")
+    r = integrate(f, interval, tol)
+    return QuadResult(r.value / interval.width, r.error_estimate / interval.width, r.evaluations, r.converged)
 
 
 def target_fejer(f, g: WeightLike, interval: Interval, tol: float = 1e-10) -> QuadResult:
@@ -668,32 +682,8 @@ def target_gap(
     coefficient that integral carries in the gap.  The two weighted gaps
     are those of :func:`_sides`; they read f' at the weight's barycentre.
     """
-    a, b = interval.a, interval.b
-    if rule is Rule.CHORD_GAP:
-        if lam is None:
-            raise ParameterOutOfRange("chord gap needs lambda")
-        lv = lam.value
-        val = lv * f(a) + (1.0 - lv) * f(b) - f(lv * a + (1.0 - lv) * b)
-        return QuadResult(val, 0.0, 3, True)
-    if rule is Rule.SYMMETRIC_PAIR_GAP:
-        if lam is None:
-            raise ParameterOutOfRange("symmetric pair gap needs lambda")
-        lv = lam.value
-        u = lv * a + (1.0 - lv) * b
-        v = (1.0 - lv) * a + lv * b
-        val = 0.5 * (f(u) + f(v)) - f(0.5 * (a + b))
-        return QuadResult(val, 0.0, 3, True)
-    if rule in _GAPS:  # the other four compare values of f with its integral mean
-        r = _integral_mean(f, interval, tol, rule.value)
-        if rule is Rule.MIDPOINT_GAP:
-            val = r.value - f(interval.midpoint)
-        elif rule is Rule.TRAPEZOID_GAP:
-            val = 0.5 * (f(a) + f(b)) - r.value
-        elif rule is Rule.BISECTION_MEAN:
-            val = 0.5 * (0.5 * (f(a) + f(b)) + f(interval.midpoint)) - r.value
-        else:
-            val = r.value - 0.5 * (f(0.25 * (3.0 * a + b)) + f(0.25 * (a + 3.0 * b)))
-        return QuadResult(val, r.error_estimate, r.evaluations, r.converged)
+    if rule in _GAPS:
+        return _gap_value(rule, f, interval, interval.b, tol, lam)
     if rule not in (Rule.WEIGHTED_TRAPEZOID_GAP, Rule.WEIGHTED_MIDPOINT_GAP):
         raise ParameterOutOfRange(f"{rule.value} is not a gap rule")
     if g is None:

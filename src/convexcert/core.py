@@ -70,7 +70,7 @@ class OracleInconclusive(CertError):
 class ConvexityViolated(CertError):
     """The lower end of f''s range on the interval, as the curvature
     analysis finds it (exact, or sampled where the band is sampled), is
-    below the convexity slack -1e-9."""
+    below the convexity slack -2⁻³⁶·max(|lo|, |hi|) of its ends."""
 
 
 class NegativeWeight(CertError):

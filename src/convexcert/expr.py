@@ -800,12 +800,14 @@ def curvature_range(f: FunctionSpec, interval: Interval) -> CurvatureBounds:
 
 
 def require_convex(f: FunctionSpec, interval: Interval) -> None:
-    """Convexity guard: ``ConvexityViolated`` unless the lower end of f''s range,
-    as :func:`curvature_range` finds it before widening, is at least -1e-9.
+    """Convexity guard: ``ConvexityViolated`` unless the lower end lo of
+    f''s range, as :func:`curvature_range` finds it before widening, is
+    at least -2⁻³⁶·max(|lo|, |hi|), hi being the upper end: a slack above
+    the rounding of an f'' that cancels (softplus reaches about 1e-13).
 
     So convexity is proved where that band is ``EXACT``.  A NaN lower
-    end is refused; an infinite upper end passes.
+    end is refused, and an upper end that is not finite gives no slack.
     """
-    lo = _f2_range(f, interval, "convexity check")[0]
-    if not lo >= -1e-9:
+    lo, hi, _ = _f2_range(f, interval, "convexity check")
+    if not lo >= (-(2.0**-36) * abs(hi) if math.isfinite(hi) else 0.0):
         raise ConvexityViolated(f"f'' reaches {lo} on [{interval.a}, {interval.b}] for f = {f.text}")

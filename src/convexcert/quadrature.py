@@ -26,7 +26,7 @@ the node values of its 8 starting panels on an interval are kept in
 its memo, shared by every integral and moment there.  So are the
 accepted panels of each run: an integral over [a, x] inside an
 interval [a, b] is read from them as a prefix sum, plus one adaptive
-part-panel where x falls inside a panel.
+part-panel where x falls inside a panel, and remembered too.
 
 Every weight check — sign, ``[0, 1]`` range and monotonicity — is
 sampled, not certified: it reads one grid of 101 uniform points with a
@@ -187,22 +187,28 @@ def _integral_to(
     [a, x].  Every panel read was accepted with an error at most
     ``tol * w / (b - a) <= tol * w / (x - a)``, so ``tol`` holds
     absolutely on [a, x].  The evaluation count is that of the [a, b]
-    run plus the part-panel's.
+    run plus the part-panel's.  The result is remembered in ``f``'s memo
+    like the run itself, so a second read of [a, x] runs no part-panel.
     """
     a, b = interval.a, interval.b
     if x == b:
         return integrate(f, interval, tol, g)
     if x == a:
         return QuadResult(0.0, 0.0, 0, True)
-    panels, whole = _table(f, g, a, b, tol)
-    k = bisect_right(panels, x, key=itemgetter(0))
-    edge = panels[k - 1][0] if k else a
-    read, evals = list(panels[:k]), whole.evaluations
-    if edge < x:
-        part, part_evals = _refine(_integrand(f, g), [(edge, x, panels[k][4], None)], tol, x - a)
-        read += part
-        evals += part_evals
-    return _sum(read, evals)
+    owner = f if g is None or isinstance(g, FunctionSpec) else None
+
+    def prefix() -> QuadResult:
+        panels, whole = _table(f, g, a, b, tol)
+        k = bisect_right(panels, x, key=itemgetter(0))
+        edge = panels[k - 1][0] if k else a
+        read, evals = list(panels[:k]), whole.evaluations
+        if edge < x:
+            part, part_evals = _refine(_integrand(f, g), [(edge, x, panels[k][4], None)], tol, x - a)
+            read += part
+            evals += part_evals
+        return _sum(read, evals)
+
+    return _remember(owner, ("prefix", g, a, b, x, tol), prefix)
 
 
 # An integrand in batch form: (nodes, floor) -> its values at the nodes,

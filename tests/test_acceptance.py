@@ -141,14 +141,16 @@ def test_lambda_average_recovers_interval_gaps():
         inst = random_convex_instance(1000 + k)
         c, iv = inst.curvature, inst.interval
 
-        lo = sum(gap_bounds(Rule.CHORD_GAP, c, iv, lam).lower for lam in grid) / n
-        hi = sum(gap_bounds(Rule.CHORD_GAP, c, iv, lam).upper for lam in grid) / n
+        chords = [gap_bounds(Rule.CHORD_GAP, c, iv, lam) for lam in grid]
+        lo = sum(enc.lower for enc in chords) / n
+        hi = sum(enc.upper for enc in chords) / n
         trap = gap_bounds(Rule.TRAPEZOID_GAP, c, iv)
         assert lo == pytest.approx(trap.lower, rel=1e-6, abs=1e-15), inst.recipe
         assert hi == pytest.approx(trap.upper, rel=1e-6, abs=1e-15), inst.recipe
 
-        lo = sum(gap_bounds(Rule.SYMMETRIC_PAIR_GAP, c, iv, lam).lower for lam in grid) / n
-        hi = sum(gap_bounds(Rule.SYMMETRIC_PAIR_GAP, c, iv, lam).upper for lam in grid) / n
+        pairs = [gap_bounds(Rule.SYMMETRIC_PAIR_GAP, c, iv, lam) for lam in grid]
+        lo = sum(enc.lower for enc in pairs) / n
+        hi = sum(enc.upper for enc in pairs) / n
         mid = gap_bounds(Rule.MIDPOINT_GAP, c, iv)
         assert lo == pytest.approx(mid.lower, rel=1e-6, abs=1e-15), inst.recipe
         assert hi == pytest.approx(mid.upper, rel=1e-6, abs=1e-15), inst.recipe

@@ -6,6 +6,7 @@ so the oracle integrals are being checked, not trusted.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,27 @@ class TestGapTable:
         enc = gap_bounds(rule, c, iv, Lambda(lam))
         assert (enc.lower, enc.upper) == _closed_form_gap(rule, c, iv, lam)
         assert enc.source_rule is rule
+
+    @pytest.mark.parametrize("rule", list(bounds._GAPS))
+    def test_functional_matches_the_scale_exactly(self, rule):
+        # L[f] = α·mean(f) + Σ β·f(u·0 + v·1) on [0, 1], in exact arithmetic;
+        # at w² = 96 every closed-form scale is exact in floats
+        gap = bounds._GAPS[rule]
+        for lam in [k / 16 for k in range(17)] if gap.lam else [None]:
+            alpha = Fraction(gap.alpha)
+            nodes = [tuple(map(Fraction, node)) for node in gap.nodes(lam)]
+
+            def functional(mean, f):
+                return alpha * mean + sum(beta * f(v) for beta, _, v in nodes)
+
+            assert all(u + v == 1 for _, u, v in nodes)
+            assert functional(1, lambda t: 1) == 0
+            assert functional(Fraction(1, 2), lambda t: t) == 0
+            half_square = functional(Fraction(1, 6), lambda t: t * t / 2)
+            assert Fraction(gap.scale(96.0, lam)) / Fraction(gap.divisor) == 96 * half_square
+            # the Peano kernel K(s) = L[(t - s)₊] is nonnegative
+            for s in {Fraction(j, 64) for j in range(65)} | {v for _, _, v in nodes}:
+                assert functional((1 - s) ** 2 / 2, lambda t: max(t - s, 0)) >= 0, (lam, s)
 
     @pytest.mark.parametrize("rule", [Rule.HERMITE_HADAMARD, Rule.WEIGHTED_MIDPOINT_GAP])
     def test_rejects_a_rule_outside_the_table(self, rule):
@@ -501,6 +523,21 @@ class TestSubintervalMonotonicity:
         hh_gap_monotone(function_spec("exp(x)"), self.IV2, 0.7)
         assert (runs, refinements) == ([(0.0, 2.0)], [8, 1])
 
+    def test_chains_share_the_part_panel(self, monkeypatch):
+        refinements = []
+        refine = quadrature._refine
+
+        def counted_refinement(sample, stack, tol, width):
+            refinements.append(len(stack))
+            return refine(sample, stack, tol, width)
+
+        monkeypatch.setattr(quadrature, "_refine", counted_refinement)
+        # the [0, 0.7] part-panel of the first call is remembered for the second
+        f = function_spec("exp(x)")
+        hh_gap_monotone(f, self.IV2, 0.7)
+        refined_gap_chains(f, CurvatureBounds(1.0, E * E), self.IV2, 0.7)
+        assert refinements == [8, 1]
+
     def test_refined_chains_exp_frozen(self):
         band = CurvatureBounds(1.0, E * E)
         pair_a, pair_b = refined_gap_chains(EXP, band, self.IV2, 1.0)
@@ -566,6 +603,10 @@ class TestVasicLackovic:
     def test_nonpositive_half_width_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             vasic_lackovic(SQ, evaluation_spec("1"), NodeWeights(1.0, 1.0), UNIT, 0.0)
+
+    def test_nan_half_width_rejected_by_name(self):
+        with pytest.raises(ParameterOutOfRange, match="window half-width must be > 0, got nan"):
+            vasic_lackovic(SQ, evaluation_spec("1"), NodeWeights(1.0, 1.0), UNIT, math.nan)
 
     def test_weight_symmetry_is_about_window_center(self):
         # x(1-x) is symmetric about 0.5 = the window centre here, so the

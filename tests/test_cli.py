@@ -255,6 +255,23 @@ class TestBounds:
         assert code == 1
         assert "error:" in err
 
+    # f'' = -8e-10 everywhere: above an absolute slack of -1e-9, but a
+    # strictly concave f, so the guard refuses it relative to max|f''|
+    def test_slightly_concave_function_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--f=-4e-10*x^2", "--a", "0", "--b", "0.01", "--rule", "hh"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: f'' reaches -8e-10 on [0.0, 0.01]")
+
+    def test_nan_half_width_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--f", "x^2", "--a", "0", "--b", "1", "--rule", "vasic-lackovic",
+            "--p", "1", "--q", "1", "--y", "nan",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: window half-width must be > 0, got nan\n"
+
     # w² of a width of 1e200 leaves the float range; it used to escape as an
     # OverflowError traceback
     @pytest.mark.parametrize("rule", ["midpoint-gap", "all"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from convexcert import expr
 from convexcert.core import (
+    ConvexityViolated,
     DomainError,
     Interval,
     NonConstantExponent,
@@ -30,6 +31,7 @@ from convexcert.expr import (
     evaluation_spec,
     function_spec,
     parse,
+    require_convex,
     simplify,
     to_text,
 )
@@ -349,6 +351,29 @@ class TestCurvatureRange:
     def test_weight_spec_rejected(self):
         with pytest.raises(NonSmoothExpression):
             curvature_range(evaluation_spec("x"), Interval(0.0, 1.0))
+
+    # (lo, hi) of f'': the guard's slack is 2^-36 of max(|lo|, |hi|), and
+    # an upper end that is not finite gives none
+    @pytest.mark.parametrize(
+        "lo, hi, refused",
+        [
+            (-1e-13, 1.0, False),
+            (-1e-10, 1.0, True),
+            (-8e-10, -8e-10, True),
+            (-math.inf, 1.0, True),
+            (math.nan, 1.0, True),
+            (0.0, math.inf, False),
+            (-1e-300, math.inf, True),
+            (-1e-300, math.nan, True),
+        ],
+    )
+    def test_convexity_guard_is_relative(self, monkeypatch, lo, hi, refused):
+        monkeypatch.setattr(expr, "_f2_range", lambda f, interval, what: (lo, hi, Provenance.EXACT))
+        if refused:
+            with pytest.raises(ConvexityViolated, match="f'' reaches"):
+                require_convex(function_spec("x^2"), Interval(0.0, 1.0))
+        else:
+            require_convex(function_spec("x^2"), Interval(0.0, 1.0))
 
 
 # ASTs of the differentiable grammar (no abs), with constant exponents
