@@ -30,7 +30,6 @@ the falsification harness both iterate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Callable, NamedTuple, Union
@@ -708,8 +707,7 @@ def target_vasic_lackovic(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """Everything a rule in :data:`RULES` may read: f on an interval,
     the oracle tolerance, and whichever of curvature band, weight, λ,
     node weights and window half-width ``y`` the rule needs (the rest
@@ -726,8 +724,7 @@ class Problem:
     y: float | None = None
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(NamedTuple):
     """One inequality: the :class:`Problem` fields it needs, its
     enclosure and its oracle target.
 

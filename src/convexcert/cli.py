@@ -24,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import bounds as bd
 from . import means as mn
@@ -54,8 +54,7 @@ _RULE_ALIASES = {"hh": Rule.HERMITE_HADAMARD}
 _BOUNDS_RULES = {r.value: r for r in bd.RULES}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """One checked claim: rule, inputs, enclosure and its oracle value."""
 
     rule: str
@@ -199,7 +198,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if spec.window:
             rule_inputs.update({"p": repr(args.p), "q": repr(args.q), "y": repr(args.y)})
             # node weights are validated only once a window rule runs
-            problem = replace(problem, nodes=NodeWeights(args.p, args.q))
+            problem = problem._replace(nodes=NodeWeights(args.p, args.q))
         prov = band.provenance.value if spec.band else "not-used"
         enc = spec.enclose(problem)
         target = spec.target(problem)
@@ -214,8 +213,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_young(args: argparse.Namespace) -> int:
     a, b, lam = args.a, args.b, args.lam
-    lo, hi = min(a, b), max(a, b)
-    interval = Interval(lo, hi)
+    interval, _ = make_interval(a, b)
     inputs = {"a": repr(a), "b": repr(b), "lambda": repr(lam)}
     forms = [
         ("ratio", Rule.YOUNG_RATIO, mn.young_ratio_bounds, mn.young_ratio_target),

@@ -5,14 +5,20 @@ module, the CLI) trades in a handful of small immutable values defined
 here: intervals, curvature bands, two-sided enclosures, weight
 descriptors, and the error taxonomy.  Keeping them in one place avoids
 import cycles and makes the contracts easy to audit.
+
+The value types are NamedTuples, which keep the package cheap to import
+(each CLI call imports it in a fresh interpreter).  Those with an
+invariant (``Interval``, ``Lambda``, ``NodeWeights``, ``CurvatureBounds``,
+``Enclosure``) check it on every construction path, ``_replace`` and
+``_make`` included.  Being tuples, they unpack, index, and compare equal
+to any tuple with the same fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .expr import FunctionSpec
@@ -146,8 +152,19 @@ class Rule(Enum):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class _Checked:
+    """Mixin for a NamedTuple whose subclass checks its fields in
+    ``__new__``.  ``_make`` (and so ``_replace``) builds through the
+    constructor too, where the tuple's own would skip the check."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Interval(_Checked, NamedTuple("Interval", [("a", float), ("b", float)])):
     """A closed interval [a, b] with finite, ordered endpoints and a
     finite width.
 
@@ -155,16 +172,16 @@ class Interval:
     collapse to (0, 0).
     """
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvalidInterval(f"endpoints must be finite, got [{self.a}, {self.b}]")
-        if self.a > self.b:
-            raise InvalidInterval(f"endpoints out of order: [{self.a}, {self.b}]")
-        if not math.isfinite(self.b - self.a):
-            raise InvalidInterval(f"width overflows: [{self.a}, {self.b}]")
+    def __new__(cls, a: float, b: float) -> Interval:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidInterval(f"endpoints must be finite, got [{a}, {b}]")
+        if a > b:
+            raise InvalidInterval(f"endpoints out of order: [{a}, {b}]")
+        if not math.isfinite(b - a):
+            raise InvalidInterval(f"width overflows: [{a}, {b}]")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def width(self) -> float:
@@ -181,72 +198,70 @@ class Interval:
         return self.a == self.b
 
 
-@dataclass(frozen=True, slots=True)
-class Lambda:
+class Lambda(_Checked, NamedTuple("Lambda", [("value", float)])):
     """A convex-combination weight in [0, 1]."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {self.value}")
+    def __new__(cls, value: float) -> Lambda:
+        if not (0.0 <= value <= 1.0):
+            raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {value}")
+        return tuple.__new__(cls, (value,))
 
 
-@dataclass(frozen=True, slots=True)
-class NodeWeights:
+class NodeWeights(_Checked, NamedTuple("NodeWeights", [("p", float), ("q", float)])):
     """Strictly positive node weights (p, q) for the two endpoints."""
 
-    p: float
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.p > 0.0 and self.q > 0.0 and math.isfinite(self.p) and math.isfinite(self.q)):
-            raise ParameterOutOfRange(f"node weights must be finite and > 0, got ({self.p}, {self.q})")
+    def __new__(cls, p: float, q: float) -> NodeWeights:
+        if not (p > 0.0 and q > 0.0 and math.isfinite(p) and math.isfinite(q)):
+            raise ParameterOutOfRange(f"node weights must be finite and > 0, got ({p}, {q})")
+        return tuple.__new__(cls, (p, q))
 
 
-@dataclass(frozen=True, slots=True)
-class CurvatureBounds:
+class CurvatureBounds(
+    _Checked, NamedTuple("CurvatureBounds", [("m", float), ("M", float), ("provenance", Provenance)])
+):
     """A band m <= f'' <= M on the working interval."""
 
-    m: float
-    M: float
-    provenance: Provenance = Provenance.USER_SUPPLIED
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and math.isfinite(self.M)):
-            raise ParameterOutOfRange(f"curvature bounds must be finite, got ({self.m}, {self.M})")
-        if self.m > self.M:
-            raise ParameterOutOfRange(f"curvature bounds out of order: m={self.m} > M={self.M}")
+    def __new__(cls, m: float, M: float, provenance: Provenance = Provenance.USER_SUPPLIED) -> CurvatureBounds:
+        if not (math.isfinite(m) and math.isfinite(M)):
+            raise ParameterOutOfRange(f"curvature bounds must be finite, got ({m}, {M})")
+        if m > M:
+            raise ParameterOutOfRange(f"curvature bounds out of order: m={m} > M={M}")
+        return tuple.__new__(cls, (m, M, provenance))
 
 
-@dataclass(frozen=True, slots=True)
-class Enclosure:
+class Enclosure(
+    _Checked,
+    NamedTuple(
+        "Enclosure", [("lower", float), ("upper", float), ("target_description", str), ("source_rule", Rule)]
+    ),
+):
     """A two-sided bound [lower, upper] for a named target quantity.
 
     Invariant: ``lower <= upper`` exactly.  ``upper`` may be ``+inf``
     (e.g. an exponential bound that overflows); it is still a bound.
     """
 
-    lower: float
-    upper: float
-    target_description: str
-    source_rule: Rule
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lower) or math.isnan(self.upper):
+    def __new__(cls, lower: float, upper: float, target_description: str, source_rule: Rule) -> Enclosure:
+        if math.isnan(lower) or math.isnan(upper):
             raise ParameterOutOfRange("enclosure endpoints must not be NaN")
-        if self.lower > self.upper:
-            raise ParameterOutOfRange(
-                f"enclosure out of order: lower={self.lower} > upper={self.upper}"
-            )
+        if lower > upper:
+            raise ParameterOutOfRange(f"enclosure out of order: lower={lower} > upper={upper}")
+        return tuple.__new__(cls, (lower, upper, target_description, source_rule))
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True, slots=True)
-class WeightSpec:
+class WeightSpec(NamedTuple):
     """A weight function together with its sampled structural flags.
 
     ``function`` only has to be evaluatable (weights may contain ``abs``
@@ -261,8 +276,7 @@ class WeightSpec:
     range01: bool = False
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Outcome of one adaptive quadrature run."""
 
     value: float

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 from .core import (
     ConvexityViolated,
@@ -67,25 +66,24 @@ __all__ = [
 UNARY_OPS = ("neg", "exp", "log", "abs")
 BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 
+# Nodes are tuples, so ``Var()`` is empty and falsy: test an optional
+# node with ``is None``, never by its truth value.
 
-@dataclass(frozen=True, slots=True)
-class Const:
+
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(NamedTuple):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # one of UNARY_OPS
     arg: "Node"
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # one of BINARY_OPS
     left: "Node"
     right: "Node"
@@ -99,8 +97,7 @@ Node = Union[Const, Var, Unary, Binary]
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "lparen" | "rparen" | "end"
     text: str
     pos: int
@@ -612,7 +609,6 @@ def _diff(node: Node) -> Node:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FunctionSpec:
     """An evaluatable function, optionally with symbolic derivatives.
 
@@ -628,12 +624,34 @@ class FunctionSpec:
     profile, f'' range, and the node values of the quadrature's starting
     panels) in a private memo that lives and dies with it; see
     :func:`_remember`.
+
+    Immutable: it equals another spec with the same ``ast``, ``d1`` and
+    ``d2``, and assigning to any attribute raises ``AttributeError``.
+    Not a tuple, since the memo must die with it (a weak reference) and
+    the forms are kept as cached properties (an instance ``__dict__``).
     """
 
     ast: Node
-    d1: Node | None = None
-    d2: Node | None = None
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    d1: Node | None
+    d2: Node | None
+    _memo: dict
+
+    def __init__(self, ast: Node, d1: Node | None = None, d2: Node | None = None) -> None:
+        self.__dict__.update(ast=ast, d1=d1, d2=d2, _memo={})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ast, self.d1, self.d2) == (other.ast, other.d1, other.d2)
+
+    def __repr__(self) -> str:
+        return f"FunctionSpec(ast={self.ast!r}, d1={self.d1!r}, d2={self.d2!r})"
 
     @cached_property
     def _fn(self) -> _Batch:

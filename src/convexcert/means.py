@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .bounds import gap_bounds
 from .core import (
@@ -64,8 +64,7 @@ class MeanKind(Enum):
     INTEGRAL_POWER = "integral-power"
 
 
-@dataclass(frozen=True, slots=True)
-class MeanValue:
+class MeanValue(NamedTuple):
     kind: MeanKind
     value: float
     p: float | None = None

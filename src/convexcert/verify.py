@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 from . import bounds as bd
 from . import means as mn
@@ -63,8 +63,7 @@ def _mix(seed: int, *branches: int) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvexInstance:
+class ConvexInstance(NamedTuple):
     """One generated test case with an exact curvature certificate."""
 
     function: FunctionSpec
@@ -207,16 +206,14 @@ def random_monotone_weight(seed: int, interval: Interval, decreasing: bool) -> W
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(NamedTuple):
     trial: int
     operation: str
     recipe: str
     details: str
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     seed: int
     trials: int
     passed: int
@@ -224,11 +221,12 @@ class TrialReport:
     inconclusive: int
     worst_violation: float
     failures: tuple[FailureRecord, ...]
-    op_counts: dict[str, int] = field(default_factory=dict, compare=False)
+    op_counts: dict[str, int]
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        payload = self._asdict()
         del payload["op_counts"]
+        payload["failures"] = [record._asdict() for record in self.failures]
         return json.dumps(payload, indent=2)
 
 
@@ -361,12 +359,12 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
     # every registry rule; λ rules over the grid, the window rule with
     # its own weight drawn on the window
     problem = bd.Problem(f, interval, tol, c, g_sym, None, NodeWeights(p, q), y)
-    lam_variants = [replace(problem, lam=Lambda(v)) for v in _LAMBDA_GRID]
+    lam_variants = [problem._replace(lam=Lambda(v)) for v in _LAMBDA_GRID]
     for spec in bd.RULES.values():
         if spec.lam:
             variants = lam_variants
         elif spec.window:
-            variants = [replace(problem, weight=g_win)]
+            variants = [problem._replace(weight=g_win)]
         else:
             variants = [problem]
         for variant in variants:

@@ -371,6 +371,12 @@ class TestYoung:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("a,b", [("nan", "4"), ("4", "nan")])
+    def test_nan_operand_named_in_the_error(self, capsys, a, b):
+        code, out, err = run_cli(capsys, "young", "--a", a, "--b", b, "--lambda", "0.5")
+        assert (code, out) == (1, "")
+        assert err == f"error: endpoints must be finite, got ({float(a)}, {float(b)})\n"
+
 
 class TestMeans:
     def test_table_with_power_means(self, capsys):

@@ -1,9 +1,15 @@
 """Tests for the shared vocabulary types."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import convexcert
+from convexcert.bounds import RULES, Problem
+from convexcert.cli import Certificate
 from convexcert.core import (
     CurvatureBounds,
     Enclosure,
@@ -13,10 +19,15 @@ from convexcert.core import (
     NodeWeights,
     ParameterOutOfRange,
     Provenance,
+    QuadResult,
     Rule,
+    WeightSpec,
     enclosure_contains,
     make_interval,
 )
+from convexcert.expr import Binary, Const, FunctionSpec, Unary, Var, evaluation_spec, function_spec
+from convexcert.means import MeanKind, mean
+from convexcert.verify import FailureRecord, TrialReport, random_convex_instance
 
 
 class TestInterval:
@@ -162,3 +173,86 @@ def test_rule_values_are_kebab_case():
     for rule in Rule:
         assert rule.value == rule.value.lower()
         assert " " not in rule.value
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "valid,field,bad,error,message",
+        [
+            (Interval(0.0, 1.0), "b", -1.0, InvalidInterval, "endpoints out of order: [0.0, -1.0]"),
+            (Lambda(0.5), "value", 1.5, ParameterOutOfRange, "lambda must lie in [0, 1], got 1.5"),
+            (NodeWeights(1.0, 2.0), "q", 0.0, ParameterOutOfRange,
+             "node weights must be finite and > 0, got (1.0, 0.0)"),
+            (CurvatureBounds(1.0, 2.0), "m", 3.0, ParameterOutOfRange,
+             "curvature bounds out of order: m=3.0 > M=2.0"),
+            (Enclosure(0.0, 1.0, "t", Rule.FEJER), "lower", math.nan, ParameterOutOfRange,
+             "enclosure endpoints must not be NaN"),
+        ],
+        ids=["Interval", "Lambda", "NodeWeights", "CurvatureBounds", "Enclosure"],
+    )
+    def test_every_construction_path_checks_the_fields(self, valid, field, bad, error, message):
+        kind = type(valid)
+        fields = {**valid._asdict(), field: bad}
+        for build in (
+            lambda: kind(**fields),
+            lambda: kind._make(fields.values()),
+            lambda: valid._replace(**{field: bad}),
+        ):
+            with pytest.raises(error) as caught:
+                build()
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Interval(0.0, 1.0),
+            lambda: Lambda(0.5),
+            lambda: NodeWeights(1.0, 2.0),
+            lambda: CurvatureBounds(1.0, 2.0),
+            lambda: Enclosure(0.0, 1.0, "t", Rule.FEJER),
+            lambda: WeightSpec(evaluation_spec("1")),
+            lambda: QuadResult(1.0, 0.0, 3, True),
+            lambda: Const(2.0),
+            lambda: Unary("exp", Var()),
+            lambda: Binary("add", Var(), Const(1.0)),
+            lambda: function_spec("exp(x)"),
+            lambda: Problem(function_spec("exp(x)"), Interval(0.0, 1.0)),
+            lambda: RULES[Rule.FEJER],
+            lambda: mean(MeanKind.ARITHMETIC, 1.0, 3.0),
+            lambda: random_convex_instance(1),
+            lambda: FailureRecord(1, "fejer", "recipe", "details"),
+            lambda: TrialReport(1, 1, 45, 0, 0, 0.0, (), {}),
+            lambda: Certificate("fejer", Interval(0.0, 1.0), {}, Enclosure(0.0, 1.0, "t", Rule.FEJER),
+                                0.5, True, True, "not-used"),
+        ],
+        ids=["Interval", "Lambda", "NodeWeights", "CurvatureBounds", "Enclosure", "WeightSpec", "QuadResult",
+             "Const", "Unary", "Binary", "FunctionSpec", "Problem", "RuleSpec", "MeanValue", "ConvexInstance",
+             "FailureRecord", "TrialReport", "Certificate"],
+    )
+    def test_fields_cannot_be_assigned(self, make):
+        value = make()
+        name = "ast" if isinstance(value, FunctionSpec) else value._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+
+    def test_repr_names_every_field(self):
+        # the form README's library example shows
+        assert repr(Interval(0.0, 1.0)) == "Interval(a=0.0, b=1.0)"
+        assert repr(Enclosure(1.5, 2.0, "mean", Rule.HERMITE_HADAMARD)) == (
+            "Enclosure(lower=1.5, upper=2.0, target_description='mean', "
+            "source_rule=<Rule.HERMITE_HADAMARD: 'hermite-hadamard'>)"
+        )
+        assert repr(CurvatureBounds(1.0, math.e, Provenance.EXACT)) == (
+            "CurvatureBounds(m=1.0, M=2.718281828459045, provenance=<Provenance.EXACT: 'exact'>)"
+        )
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # a CLI call imports the package in a fresh interpreter, and these
+        # two modules would cost it more than the package itself
+        src = str(Path(convexcert.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from convexcert import cli, verify; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
