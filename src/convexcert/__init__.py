@@ -10,7 +10,8 @@ The package is organised as:
 * :mod:`convexcert.quadrature` — adaptive Gauss–Kronrod oracle, weight
   moments and the sampled weight checks.
 * :mod:`convexcert.bounds` — the certified enclosures, their oracle
-  targets, and the rule registry pairing the two.
+  targets, and the rule registry pairing the two; the paper's chains
+  are enclosures of gap differences.
 * :mod:`convexcert.means` — special means and closed-form mean/Young
   checks.
 * :mod:`convexcert.verify` — the randomized falsification harness.
@@ -63,7 +64,7 @@ from .quadrature import (
     moment_about,
 )
 from .bounds import (
-    complement_weight_chains,
+    complement_weight_gap,
     fejer,
     fejer_midpoint_gap_bounds,
     fejer_trapezoid_gap_bounds,
@@ -71,8 +72,8 @@ from .bounds import (
     h1_functional,
     h2_functional,
     hermite_hadamard,
-    hh_gap_monotone,
-    refined_gap_chains,
+    subinterval_gap,
+    subinterval_gap_difference,
     target_fejer,
     target_gap,
     target_integral_mean,
@@ -160,11 +161,11 @@ __all__ = [
     "gap_bounds",
     "fejer_trapezoid_gap_bounds",
     "fejer_midpoint_gap_bounds",
-    "complement_weight_chains",
     "h1_functional",
     "h2_functional",
-    "hh_gap_monotone",
-    "refined_gap_chains",
+    "subinterval_gap",
+    "subinterval_gap_difference",
+    "complement_weight_gap",
     "vasic_lackovic",
     "target_integral_mean",
     "target_fejer",

@@ -22,6 +22,12 @@ and the weighted gaps scale the band by an oracle moment:
 
 For g symmetric about the midpoint these are the paper's Fejér forms.
 
+The paper's chains (first >= second >= 0) are differences k₁·L₁ - k₂·L₂
+of two gaps of one band (m, M).  Where such a difference has a Peano
+kernel >= 0, its enclosure is the two gaps' enclosures combined end by
+end (see :func:`_difference`): so for the subinterval differences
+L_ab - ρ·L_ax and the complement-weight gap w·T_ab - W_g.
+
 :data:`RULES` pairs each rule with the inputs it needs, its enclosure
 and its oracle target, all read from one :class:`Problem`; the CLI and
 the falsification harness both iterate it.
@@ -69,11 +75,11 @@ __all__ = [
     "gap_bounds",
     "fejer_trapezoid_gap_bounds",
     "fejer_midpoint_gap_bounds",
-    "complement_weight_chains",
     "h1_functional",
     "h2_functional",
-    "hh_gap_monotone",
-    "refined_gap_chains",
+    "subinterval_gap",
+    "subinterval_gap_difference",
+    "complement_weight_gap",
     "vasic_lackovic",
     "target_integral_mean",
     "target_fejer",
@@ -408,54 +414,6 @@ def fejer_midpoint_gap_bounds(
 
 
 # --------------------------------------------------------------------------
-# Complement-weight precision chains
-# --------------------------------------------------------------------------
-
-
-def complement_weight_chains(
-    f: FunctionSpec,
-    g: WeightLike,
-    c: CurvatureBounds,
-    interval: Interval,
-    tol: float = 1e-10,
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Three-term precision chains obtained by applying the weighted
-    gap bounds to the complement weight 1 - g (legal when g maps into
-    [0, 1]).
-
-    Writing w = b - a, T = trapezoid gap of f, G = ∫g, FG = ∫fg,
-    P = ∫(t-a)(b-t)g and ℓ(x̄)·G the chord side of :func:`fejer`, the
-    two chains are::
-
-        w·(T - m w²/12)  >=  ℓ(x̄)·G - FG - (m/2)·P  >=  0
-        w·(M w²/12 - T)  >=  (M/2)·P - ℓ(x̄)·G + FG  >=  0
-
-    Each is returned as (left, middle, 0.0); left and middle are built
-    from oracle integrals, so orderings should be asserted with slack.
-    Note the middle terms are the slack of the weighted gap bounds for
-    g itself — with g ≡ 1 they *equal* the left terms.
-    """
-    ws = _as_weight(g, interval)
-    if not ws.range01:
-        raise RangeViolated(
-            f"complement chains need a weight in [0, 1]; {ws.function.text!r} is not"
-        )
-    a, b = interval.a, interval.b
-    w = interval.width
-    avg = 0.5 * (f(a) + f(b))
-    F = _oracle(integrate(f, interval, tol), "integral of f")
-    chord = _oracle(_sides(f, ws.function, interval, _EQUAL, interval, tol).upper, "weight moments")
-    FG = _oracle(integrate(f, interval, tol, ws.function), "integral of f*g")
-    P = max(_oracle(moment_ab(ws.function, interval, tol), "endpoint moment"), 0.0)
-    w3 = _width_power(w, 3, "complement chains")
-    left1 = w * avg - F - c.m * w3 / 12.0
-    mid1 = chord - FG - 0.5 * c.m * P
-    left2 = c.M * w3 / 12.0 - w * avg + F
-    mid2 = 0.5 * c.M * P - chord + FG
-    return (left1, mid1, 0.0), (left2, mid2, 0.0)
-
-
-# --------------------------------------------------------------------------
 # Monotone endpoint functionals
 # --------------------------------------------------------------------------
 
@@ -534,79 +492,90 @@ def h2_functional(
 
 
 # --------------------------------------------------------------------------
-# Subinterval monotonicity and refined chains
+# Gap differences: the paper's chains as enclosures
 # --------------------------------------------------------------------------
 
 
-def _subinterval_rho(f: FunctionSpec, interval: Interval, x: float, degenerate: str) -> float:
-    """Check x, a non-degenerate interval (else raise ``degenerate``) and
-    convexity; return ρ = (x-a)/(b-a)."""
+_Pair = tuple[Enclosure, QuadResult]  # an enclosure and its oracle target
+
+
+def _difference(first: _Pair, second: _Pair, k1: float, k2: float, description: str) -> _Pair:
+    """k₁·L₁ - k₂·L₂ for two gaps with bands (m·s, M·s) of one (m, M).
+    Where the combination's Peano kernel is >= 0, which the caller
+    vouches for, it lies in [m, M]·(k₁·s₁ - k₂·s₂), the two bands
+    combined end by end.  The target is k₁·t₁ - k₂·t₂, each error scaled
+    by its |k|."""
+    (e1, t1), (e2, t2) = first, second
+    target = QuadResult(
+        k1 * t1.value - k2 * t2.value,
+        abs(k1) * t1.error_estimate + abs(k2) * t2.error_estimate,
+        t1.evaluations + t2.evaluations,
+        t1.converged and t2.converged,
+    )
+    lower, upper = k1 * e1.lower - k2 * e2.lower, k1 * e1.upper - k2 * e2.upper
+    return _enclosure(lower, upper, description, e1.source_rule), target
+
+
+def subinterval_gap(
+    rule: Rule, f: FunctionSpec, c: CurvatureBounds, interval: Interval, x: float, tol: float = 1e-10
+) -> _Pair:
+    """An unweighted gap on [a, x] inside [a, b]: the band of
+    :func:`gap_bounds` on [a, x], and the oracle value with ∫ₐˣ f read
+    from the run over [a, b].  At x = a both are 0."""
     _check_x(interval, x)
+    enc = gap_bounds(rule, c, Interval(interval.a, x))
+    if x == interval.a:
+        return enc, QuadResult(0.0, 0.0, 0, True)
+    return enc, _gap_value(rule, f, interval, x, tol, None)
+
+
+def subinterval_gap_difference(
+    rule: Rule, f: FunctionSpec, c: CurvatureBounds, interval: Interval, x: float, tol: float = 1e-10
+) -> _Pair:
+    """The paper's subinterval monotonicity L_ab >= ρ·L_ax >= 0, with
+    ρ = (x-a)/(b-a), for the trapezoid gap T and the midpoint gap G: the
+    kernel of L_ab - ρ·L_ax is >= 0, so for w = b - a::
+
+        T_ab - ρ·T_ax   in  (m, M) · w²(1 - ρ³)/12
+        G_ab - ρ·G_ax   in  (m, M) · w²(1 - ρ³)/24
+
+    The lower end is the paper's curvature-refined chain, and ρ·L_ax >= 0
+    is the lower end of :func:`subinterval_gap`.
+    """
+    if rule not in (Rule.TRAPEZOID_GAP, Rule.MIDPOINT_GAP):
+        raise ParameterOutOfRange(f"{rule.value} has no subinterval difference")
     if interval.is_degenerate():
-        raise ParameterOutOfRange(degenerate)
-    require_convex(f, interval)
-    return (x - interval.a) / interval.width
+        raise ParameterOutOfRange("a subinterval difference needs a non-degenerate interval")
+    a, b = interval.a, interval.b
+    rho = (x - a) / interval.width
+    part = subinterval_gap(rule, f, c, interval, x, tol)  # x is checked before [a, b] runs
+    what = f"{_GAPS[rule].description} on [{a}, {b}] minus {rho} times on [{a}, {x}]"
+    return _difference(subinterval_gap(rule, f, c, interval, b, tol), part, 1.0, rho, what)
 
 
-def _gap_on(rule: Rule, f: FunctionSpec, interval: Interval, x: float, tol: float) -> float:
-    """The gap of ``rule`` on [a, x], raising if its ∫ₐˣ f did not converge."""
-    return _oracle(_gap_value(rule, f, interval, x, tol, None), "integral of f")
+def complement_weight_gap(
+    f: FunctionSpec, g: WeightLike, c: CurvatureBounds, interval: Interval, tol: float = 1e-10
+) -> _Pair:
+    """w·T_ab - W_g = ∫(ℓ - f)(1 - g) for g in [0, 1], the weighted
+    trapezoid gap of the complement weight, with w = b - a, T_ab the
+    trapezoid gap, W_g the weighted trapezoid gap of g and ℓ the chord of
+    f.  Its kernel is >= 0 as 1 - g >= 0, so with P = ∫(t-a)(b-t)g::
 
+        w·T_ab - W_g   in  (m, M) · (w³/12 - P/2)
 
-def hh_gap_monotone(
-    f: FunctionSpec, interval: Interval, x: float, tol: float = 1e-10
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Subinterval monotonicity of the two gaps, as ordered pairs.
-
-    Returns ((T_ab, ρ·T_ax), (M_ab, ρ·M_ax)) with ρ = (x-a)/(b-a),
-    where T and M are the trapezoid and midpoint gaps on the full
-    interval and on [a, x].  For convex f each pair satisfies
-    first >= second >= 0.  Both gaps of an interval come from one ∫f,
-    and ∫ₐˣ f is read from the run over [a, b].
+    Its two ends are the paper's precision chains, whose ">= 0" halves
+    are the band of W_g.  With g ≡ 1 the gap and its band are 0.
     """
-    rho = _subinterval_rho(f, interval, x, "gap monotonicity needs a non-degenerate interval")
-    rules = (Rule.TRAPEZOID_GAP, Rule.MIDPOINT_GAP)
-    sub_trap, sub_mid = (0.0, 0.0) if x == interval.a else (_gap_on(r, f, interval, x, tol) for r in rules)
-    trap, mid = (_gap_on(r, f, interval, interval.b, tol) for r in rules)
-    return (trap, rho * sub_trap), (mid, rho * sub_mid)
-
-
-def refined_gap_chains(
-    f: FunctionSpec,
-    c: CurvatureBounds,
-    interval: Interval,
-    x: float,
-    tol: float = 1e-10,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Curvature-sharpened subinterval chains for the midpoint gap.
-
-    With G_I the midpoint gap on I, w = b - a, w_x = x - a and
-    ρ = w_x / w, returns::
-
-        pair A: ( G_ab - m w²/24,        ρ · (G_ax - m w_x²/24) )
-        pair B: ( M w²/8 - G_ab,         ρ · (M w_x²/8 - G_ax) )
-
-    using the *global* curvature band on [a, b] in both components —
-    the chains arise from applying subinterval monotonicity to the
-    shifted convex functions f - m x²/2 and (for B, with the M w²/8
-    padding) M x²/2 - f, so the constants stay those of the full
-    interval.  For convex f: first >= second >= 0 in each pair.  As in
-    :func:`hh_gap_monotone`, ∫ₐˣ f is read from the run over [a, b].
-    """
-    rho = _subinterval_rho(f, interval, x, "refined chains need a non-degenerate interval")
+    ws = _as_weight(g, interval)
+    if not ws.range01:
+        raise RangeViolated(f"the complement weight needs g in [0, 1]; {ws.function.text!r} is not")
     w = interval.width
-    wx = x - interval.a
-    g_ab = _gap_on(Rule.MIDPOINT_GAP, f, interval, interval.b, tol)
-    g_ax = None if x == interval.a else _gap_on(Rule.MIDPOINT_GAP, f, interval, x, tol)
-    w2 = _width_power(w, 2, "refined chains")  # wx <= w, so wx**2 is finite too
-    if g_ax is None:
-        second_a = second_b = 0.0
-    else:
-        second_a = rho * (g_ax - c.m * wx**2 / 24.0)
-        second_b = rho * (c.M * wx**2 / 8.0 - g_ax)
-    pair_a = (g_ab - c.m * w2 / 24.0, second_a)
-    pair_b = (c.M * w2 / 8.0 - g_ab, second_b)
-    return pair_a, pair_b
+    _width_power(w, 3, "complement weight gap")  # the band's scale holds w³/12
+    p = Problem(f, interval, tol, c, ws)
+    rules = Rule.TRAPEZOID_GAP, Rule.WEIGHTED_TRAPEZOID_GAP
+    trapezoid, weighted = ((RULES[rule].enclose(p), RULES[rule].target(p)) for rule in rules)
+    what = f"weighted trapezoid gap of {f.text} with weight 1 - ({ws.function.text})"
+    return _difference(trapezoid, weighted, w, 1.0, what)
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 Each trial draws one random convex instance (function, interval, exact
 curvature band) plus random weights and parameters, runs every bounds
 and means operation against the quadrature oracle, and records
-containment/ordering violations.  Library bugs surface as failures;
-oracle non-convergence is recorded as *inconclusive*, never as a
-failure.  Everything is deterministic: per-trial sub-seeds derive from
-the master seed by counter mixing, so the aggregate report (including
-its JSON serialisation) is byte-identical across reruns.
+violations: of containment for every enclosure, the paper's subinterval
+and complement-weight chains included as enclosures of gap differences,
+and of ordering for the h1/h2 functionals and the means checks.
+Library bugs surface as failures; oracle non-convergence is recorded as
+*inconclusive*, never as a failure.  Everything is deterministic:
+per-trial sub-seeds derive from the master seed by counter mixing, so
+the aggregate report (including its JSON serialisation) is
+byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .core import (
     OracleInconclusive,
     ParameterOutOfRange,
     QuadResult,
+    Rule,
     WeightSpec,
     check_tolerance,
 )
@@ -240,9 +244,10 @@ _LAMBDA_GRID = [k / 10.0 for k in range(11)]
 _H_GRID_STEPS = 4
 
 # 4 sandwich/gap checks + 22 lambda-grid checks + 2 weighted gaps
-# + 2 complement chains + 2 bisection + 2 functionals + 2 monotone pairs
-# + 2 refined chains + 1 two-node window + 6 means checks
-CHECKS_PER_TRIAL = 45
+# + 2 bisection + 1 two-node window + 1 complement-weight gap
+# + 2 functionals + 2 subinterval differences + 2 gaps on [a, x]
+# + 6 means checks
+CHECKS_PER_TRIAL = 44
 
 
 def _containment(enc: Enclosure, value: float) -> float:
@@ -250,8 +255,11 @@ def _containment(enc: Enclosure, value: float) -> float:
 
 
 def _chain_violation(values: list[float]) -> float:
-    """Largest violation of values[0] >= values[1] >= ... >= last."""
-    return max(nxt - prev for prev, nxt in zip(values, values[1:]))
+    """Largest violation of values[0] >= values[1] >= ... >= last; NaN,
+    which no slack passes, when any step is NaN (``max`` alone drops a
+    NaN that follows a number)."""
+    steps = [nxt - prev for prev, nxt in zip(values, values[1:])]
+    return math.nan if any(map(math.isnan, steps)) else max(steps)
 
 
 class _Battery:
@@ -286,54 +294,40 @@ class _Battery:
                 FailureRecord(self._trial, operation, self._recipe, details)
             )
 
-    def containment(self, operation: str, enclose, target_of, *args) -> None:
-        """Check ``enclose(*args)`` against the oracle ``target_of(*args)`` with slack."""
+    def _attempt(self, operation: str, make):
+        """``make()``, or None once an oracle that did not converge or an
+        unexpected error is recorded for ``operation``."""
         try:
-            enc = enclose(*args)
-            target = target_of(*args)
+            return make()
         except OracleInconclusive:
             self._record(operation, _INCONCLUSIVE, 0.0, "")
-            return
         except CertError as exc:
             self._record(operation, _FAIL, math.inf, f"unexpected error: {exc!r}")
+        return None
+
+    def _judge(self, operation: str, violation: float, details: str) -> None:
+        self._record(operation, _PASS if violation <= self.slack else _FAIL, violation, details)
+
+    def containment(self, operation: str, make) -> None:
+        """Check the enclosure of ``make()``, a pair (enclosure, target),
+        against the oracle target with slack."""
+        made = self._attempt(operation, make)
+        if made is None:
             return
+        enc, target = made
         if isinstance(target, QuadResult):
             if not target.converged:
                 self._record(operation, _INCONCLUSIVE, 0.0, "")
                 return
-            value = target.value
-        else:
-            value = target
-        violation = _containment(enc, value)
-        status = _PASS if violation <= self.slack else _FAIL
-        self._record(
-            operation,
-            status,
-            violation,
-            f"target {value!r} outside ({enc.lower!r}, {enc.upper!r})",
-        )
+            target = target.value
+        details = f"target {target!r} outside ({enc.lower!r}, {enc.upper!r})"
+        self._judge(operation, _containment(enc, target), details)
 
     def ordering(self, operation: str, make_values) -> None:
         """Check a nonincreasing chain of oracle-built values."""
-        self.orderings((operation,), lambda: [make_values()])
-
-    def orderings(self, operations: tuple[str, ...], make_chains) -> None:
-        """Check the chains of one call of ``make_chains``, one check per
-        operation label; an error in that call counts for every label."""
-        try:
-            chains = make_chains()
-        except OracleInconclusive:
-            for operation in operations:
-                self._record(operation, _INCONCLUSIVE, 0.0, "")
-            return
-        except CertError as exc:
-            for operation in operations:
-                self._record(operation, _FAIL, math.inf, f"unexpected error: {exc!r}")
-            return
-        for operation, values in zip(operations, chains):
-            violation = _chain_violation(values)
-            status = _PASS if violation <= self.slack else _FAIL
-            self._record(operation, status, violation, f"chain not ordered: {values!r}")
+        values = self._attempt(operation, make_values)
+        if values is not None:
+            self._judge(operation, _chain_violation(values), f"chain not ordered: {values!r}")
 
 
 def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float) -> None:
@@ -368,12 +362,8 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
         else:
             variants = [problem]
         for variant in variants:
-            battery.containment(spec.label, spec.enclose, spec.target, variant)
-
-    battery.orderings(
-        ("complement_weight_chains_lower", "complement_weight_chains_upper"),
-        lambda: [list(chain) for chain in bd.complement_weight_chains(f, g_sym, c, interval, tol)],
-    )
+            battery.containment(spec.label, lambda: (spec.enclose(variant), spec.target(variant)))
+    battery.containment("complement_weight_gap", lambda: bd.complement_weight_gap(f, g_sym, c, interval, tol))
 
     # last point pinned to b: a + n*((b-a)/n) can overshoot b by one ulp
     x_grid = [a + k * (b - a) / _H_GRID_STEPS for k in range(1, _H_GRID_STEPS)] + [b]
@@ -392,14 +382,14 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
     )
 
     x_mid = interval.midpoint
-    battery.orderings(
-        ("hh_gap_monotone_trapezoid", "hh_gap_monotone_midpoint"),
-        lambda: [[*pair, 0.0] for pair in bd.hh_gap_monotone(f, interval, x_mid, tol)],
-    )
-    battery.orderings(
-        ("refined_gap_chains_lower", "refined_gap_chains_upper"),
-        lambda: [[*pair, 0.0] for pair in bd.refined_gap_chains(f, c, interval, x_mid, tol)],
-    )
+    for rule, name in ((Rule.TRAPEZOID_GAP, "trapezoid"), (Rule.MIDPOINT_GAP, "midpoint")):
+        battery.containment(
+            f"subinterval_gap_difference_{name}",
+            lambda: bd.subinterval_gap_difference(rule, f, c, interval, x_mid, tol),
+        )
+        battery.containment(
+            f"subinterval_gap_{name}", lambda: bd.subinterval_gap(rule, f, c, interval, x_mid, tol)
+        )
 
     # means: random positive pair, log-uniform in [0.1, 10]
     ma = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
@@ -434,12 +424,11 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
         "identric_ratio_check", lambda: [*mn.identric_ratio_check(lo, hi, x_in), 1.0]
     )
     lam_y = rng.random()
-    battery.containment(
-        "young_ratio_bounds", mn.young_ratio_bounds, mn.young_ratio_target, ma, mb, lam_y
-    )
-    battery.containment(
-        "young_difference_bounds", mn.young_difference_bounds, mn.young_difference_target, ma, mb, lam_y
-    )
+    for label, enclose, target in (
+        ("young_ratio_bounds", mn.young_ratio_bounds, mn.young_ratio_target),
+        ("young_difference_bounds", mn.young_difference_bounds, mn.young_difference_target),
+    ):
+        battery.containment(label, lambda: (enclose(ma, mb, lam_y), target(ma, mb, lam_y)))
 
 
 def falsify(trials: int, seed: int, tol: float = 1e-10) -> TrialReport:

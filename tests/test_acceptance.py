@@ -20,7 +20,8 @@ from convexcert.bounds import (
     gap_bounds,
     h1_functional,
     h2_functional,
-    hh_gap_monotone,
+    subinterval_gap,
+    subinterval_gap_difference,
     target_gap,
     target_vasic_lackovic,
     vasic_lackovic,
@@ -182,14 +183,21 @@ def test_growth_functionals_are_monotone():
 def test_subinterval_gap_pairs_shrink():
     """For exp on [0,2] at x = 1 the scaled subinterval gaps sit below
     the full-interval gaps: (1.000000, 0.070430) and
-    (0.476246, 0.034780), each within 1e-6, with first >= second >= 0."""
-    (t_ab, t_ax), (m_ab, m_ax) = hh_gap_monotone(EXP, Interval(0.0, 2.0), 1.0)
-    assert t_ab == pytest.approx(1.0, abs=1e-6)
-    assert t_ax == pytest.approx(0.07042954288523873, abs=1e-6)
-    assert m_ab == pytest.approx(0.47624622100627967, abs=1e-6)
-    assert m_ax == pytest.approx(0.03478027887945845, abs=1e-6)
-    assert t_ab >= t_ax >= 0.0
-    assert m_ab >= m_ax >= 0.0
+    (0.476246, 0.034780), each within 1e-6, and each difference lies in
+    its band (1, e²)·w²(1 - ρ³)/12 or /24."""
+    iv, band = Interval(0.0, 2.0), CurvatureBounds(1.0, math.e**2)
+    frozen = {Rule.TRAPEZOID_GAP: (1.0, 0.07042954288523873, 12.0),
+              Rule.MIDPOINT_GAP: (0.47624622100627967, 0.03478027887945845, 24.0)}
+    for rule, (whole, part, divisor) in frozen.items():
+        _, ab = subinterval_gap(rule, EXP, band, iv, 2.0)
+        _, ax = subinterval_gap(rule, EXP, band, iv, 1.0)
+        enc, diff = subinterval_gap_difference(rule, EXP, band, iv, 1.0)
+        assert ab.value == pytest.approx(whole, abs=1e-6)
+        assert 0.5 * ax.value == pytest.approx(part, abs=1e-6)
+        assert diff.value == pytest.approx(whole - part, abs=1e-6)
+        assert enc.lower == pytest.approx(4.0 * 0.875 / divisor, rel=1e-14)
+        assert enc.upper == pytest.approx(math.e**2 * 4.0 * 0.875 / divisor, rel=1e-14)
+        assert enc.lower <= diff.value <= enc.upper
     print("[ok] subinterval gap pairs: (1.000000, 0.070430), (0.476246, 0.034780)")
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from convexcert import bounds, quadrature
 from convexcert.bounds import (
-    complement_weight_chains,
+    complement_weight_gap,
     fejer,
     fejer_midpoint_gap_bounds,
     fejer_trapezoid_gap_bounds,
@@ -22,8 +22,8 @@ from convexcert.bounds import (
     h1_functional,
     h2_functional,
     hermite_hadamard,
-    hh_gap_monotone,
-    refined_gap_chains,
+    subinterval_gap,
+    subinterval_gap_difference,
     target_fejer,
     target_gap,
     target_integral_mean,
@@ -148,7 +148,7 @@ class TestFejer:
         for call in (
             lambda: fejer(SQ, ws, iv),
             lambda: fejer_trapezoid_gap_bounds(SQ, ws, SQ_BAND, iv),
-            lambda: complement_weight_chains(SQ, ws, SQ_BAND, iv),
+            lambda: complement_weight_gap(SQ, ws, SQ_BAND, iv),
         ):
             with pytest.raises(NegativeWeight, match="reaches -3.0"):
                 call()
@@ -326,45 +326,45 @@ class TestWeightedGaps:
 
 
 class TestComplementChains:
+    # w·T_ab - W_g, the weighted trapezoid gap of 1 - g; its band's ends
+    # are the paper's two precision chains
+
     def test_exp_parabola_frozen_values(self):
-        chain1, chain2 = complement_weight_chains(
-            EXP, evaluation_spec(PARABOLA_W), EXP_BAND, UNIT
-        )
-        assert chain1[0] == pytest.approx(0.057525752437144126, abs=1e-10)
-        assert chain1[1] == pytest.approx(0.011471980830632163, abs=1e-10)
-        assert chain2[0] == pytest.approx(0.08566439993444297, abs=1e-10)
-        assert chain2[1] == pytest.approx(0.017166049643685233, abs=1e-10)
-        for left, middle, zero in (chain1, chain2):
-            assert left >= middle - 1e-9
-            assert middle >= -1e-9
-            assert zero == 0.0
+        enc, r = complement_weight_gap(EXP, evaluation_spec(PARABOLA_W), EXP_BAND, UNIT)
+        # P = ∫ t²(1-t)² dt = 1/30, so the band is (m, M)·(1/12 - 1/60)
+        assert enc.lower == pytest.approx(1.0 / 15.0, abs=1e-12)
+        assert enc.upper == pytest.approx(E / 15.0, abs=1e-12)
+        assert r.value == pytest.approx(TRAP_GAP_EXP - (AVG_EXP * G_PAR - FG_PAR), abs=1e-11)
+        # each chain's left minus middle term: the distance to a band end
+        assert r.value - enc.lower == pytest.approx(0.057525752437144126 - 0.011471980830632163, abs=1e-10)
+        assert enc.upper - r.value == pytest.approx(0.08566439993444297 - 0.017166049643685233, abs=1e-10)
+        assert enc.source_rule is Rule.TRAPEZOID_GAP
 
     def test_unit_weight_middle_equals_left(self):
-        # with g ≡ 1 the complement weight vanishes, so the middle terms
-        # coincide with the left terms exactly (up to oracle error)
-        chain1, chain2 = complement_weight_chains(EXP, evaluation_spec("1"), EXP_BAND, UNIT)
-        assert chain1[1] == pytest.approx(chain1[0], abs=1e-11)
-        assert chain2[1] == pytest.approx(chain2[0], abs=1e-11)
+        # with g ≡ 1 the complement weight vanishes: each chain's middle
+        # term equals its left term, so the gap and its band are 0
+        enc, r = complement_weight_gap(EXP, evaluation_spec("1"), EXP_BAND, UNIT)
+        assert r.value == pytest.approx(0.0, abs=1e-11)
+        assert (enc.lower, enc.upper) == pytest.approx((0.0, 0.0), abs=1e-15)
 
     def test_weight_above_one_rejected(self):
         with pytest.raises(RangeViolated):
-            complement_weight_chains(EXP, evaluation_spec("5*x*(1 - x)"), EXP_BAND, UNIT)
+            complement_weight_gap(EXP, evaluation_spec("5*x*(1 - x)"), EXP_BAND, UNIT)
 
     def test_asymmetric_weight_in_range_is_accepted(self):
-        # g = t: the middle terms take the chord side ℓ(x̄)·G = (1 + 2e)/6,
-        # FG = ∫ t e^t dt = 1 and P = ∫ t²(1 - t) dt = 1/12
-        chain1, chain2 = complement_weight_chains(EXP, evaluation_spec("x"), EXP_BAND, UNIT)
+        # g = t: W_g = ℓ(x̄)·G - FG with ℓ(x̄)·G = (1 + 2e)/6 and
+        # FG = ∫ t e^t dt = 1, and P = ∫ t²(1 - t) dt = 1/12
+        enc, r = complement_weight_gap(EXP, evaluation_spec("x"), EXP_BAND, UNIT)
         chord = (1.0 + 2.0 * E) / 6.0
-        assert chain1[1] == pytest.approx(chord - 1.0 - 0.5 / 12.0, abs=1e-12)
-        assert chain2[1] == pytest.approx(0.5 * E / 12.0 - chord + 1.0, abs=1e-12)
-        for left, middle, zero in (chain1, chain2):
-            assert left >= middle >= zero
+        assert r.value == pytest.approx(TRAP_GAP_EXP - (chord - 1.0), abs=1e-12)
+        assert (enc.lower, enc.upper) == pytest.approx((1.0 / 24.0, E / 24.0), rel=1e-14)
+        assert enc.lower <= r.value <= enc.upper
 
     def test_width_whose_cube_overflows_is_out_of_range(self):
         # w³ overflows on [0, 1e103], but the endpoint moment w³/12 does not
         flat, iv = CurvatureBounds(0.0, 0.0), Interval(0.0, 1e103)
-        with pytest.raises(ParameterOutOfRange, match=r"complement chains: .* w\*\*3 overflows"):
-            complement_weight_chains(function_spec("1"), evaluation_spec("0.5"), flat, iv)
+        with pytest.raises(ParameterOutOfRange, match=r"complement weight gap: .* w\*\*3 overflows"):
+            complement_weight_gap(function_spec("1"), evaluation_spec("0.5"), flat, iv)
 
 
 class TestBisection:
@@ -478,27 +478,55 @@ class TestEndpointFunctionals:
         assert at_one < at_half < 0.0
 
 
+SUBINTERVAL = (Rule.TRAPEZOID_GAP, Rule.MIDPOINT_GAP)
+
+
+def _integer(q: Fraction) -> int:
+    assert q.denominator == 1, q
+    return q.numerator
+
+
 class TestSubintervalMonotonicity:
     IV2 = Interval(0.0, 2.0)
+    BAND2 = CurvatureBounds(1.0, E * E)  # exp on [0, 2]
+
+    def differences(self, f, x):
+        return [subinterval_gap_difference(rule, f, self.BAND2, self.IV2, x) for rule in SUBINTERVAL]
 
     def test_exp_frozen_pairs(self):
-        (t_ab, t_ax), (m_ab, m_ax) = hh_gap_monotone(EXP, self.IV2, 1.0)
-        assert t_ab == pytest.approx(1.0, abs=1e-10)
-        assert t_ax == pytest.approx(0.07042954288523873, abs=1e-10)
-        assert m_ab == pytest.approx(0.47624622100627967, abs=1e-10)
-        assert m_ax == pytest.approx(0.03478027887945845, abs=1e-10)
-        assert t_ab >= t_ax >= 0.0
-        assert m_ab >= m_ax >= 0.0
+        # L_ab and ρ·L_ax at x = 1, ρ = 1/2
+        frozen = {Rule.TRAPEZOID_GAP: (1.0, 0.07042954288523873),
+                  Rule.MIDPOINT_GAP: (0.47624622100627967, 0.03478027887945845)}
+        for rule, (whole, part) in frozen.items():
+            _, ab = subinterval_gap(rule, EXP, self.BAND2, self.IV2, 2.0)
+            _, ax = subinterval_gap(rule, EXP, self.BAND2, self.IV2, 1.0)
+            enc, diff = subinterval_gap_difference(rule, EXP, self.BAND2, self.IV2, 1.0)
+            assert ab.value == pytest.approx(whole, abs=1e-10)
+            assert 0.5 * ax.value == pytest.approx(part, abs=1e-10)
+            assert diff.value == ab.value - 0.5 * ax.value
+            assert enc.lower <= diff.value <= enc.upper
+            assert enc.source_rule is rule
 
     def test_x_at_left_endpoint(self):
-        (t_ab, t_ax), (m_ab, m_ax) = hh_gap_monotone(EXP, self.IV2, 0.0)
-        assert (t_ax, m_ax) == (0.0, 0.0)
-        assert t_ab > 0.0 and m_ab > 0.0
+        for rule in SUBINTERVAL:
+            part_enc, part = subinterval_gap(rule, EXP, self.BAND2, self.IV2, 0.0)
+            assert (part_enc.lower, part_enc.upper, part.value) == (0.0, 0.0, 0.0)
+            whole_enc, whole = subinterval_gap(rule, EXP, self.BAND2, self.IV2, 2.0)
+            enc, diff = subinterval_gap_difference(rule, EXP, self.BAND2, self.IV2, 0.0)
+            assert (enc.lower, enc.upper, diff.value) == (whole_enc.lower, whole_enc.upper, whole.value)
+            assert diff.value > 0.0
 
     def test_x_at_right_endpoint_closes_the_pair(self):
-        (t_ab, t_ax), (m_ab, m_ax) = hh_gap_monotone(EXP, self.IV2, 2.0)
-        assert t_ax == pytest.approx(t_ab, abs=1e-10)
-        assert m_ax == pytest.approx(m_ab, abs=1e-10)
+        for enc, diff in self.differences(EXP, 2.0):
+            assert (enc.lower, enc.upper, diff.value) == (0.0, 0.0, 0.0)
+
+    def test_refuses_other_rows_and_a_degenerate_interval(self):
+        with pytest.raises(ParameterOutOfRange, match="bisection-mean has no subinterval difference"):
+            subinterval_gap_difference(Rule.BISECTION_MEAN, EXP, self.BAND2, self.IV2, 1.0)
+        with pytest.raises(ParameterOutOfRange, match="non-degenerate"):
+            subinterval_gap_difference(Rule.MIDPOINT_GAP, EXP, self.BAND2, Interval(1.0, 1.0), 1.0)
+        with pytest.raises(ParameterOutOfRange, match="outside working interval"):
+            subinterval_gap_difference(Rule.MIDPOINT_GAP, EXP, self.BAND2, self.IV2, 2.5)
 
     def test_one_integral_per_interval(self, monkeypatch):
         runs, refinements = [], []
@@ -515,12 +543,12 @@ class TestSubintervalMonotonicity:
         monkeypatch.setattr(quadrature, "_adaptive", counted_run)
         monkeypatch.setattr(quadrature, "_refine", counted_refinement)
         # x = 1 is an edge of the [0, 2] panels: [0, x] runs nothing
-        hh_gap_monotone(function_spec("exp(x)"), self.IV2, 1.0)
+        self.differences(function_spec("exp(x)"), 1.0)
         assert (runs, refinements) == ([(0.0, 2.0)], [8])
         # off an edge, [0, x] runs one part-panel
         runs.clear()
         refinements.clear()
-        hh_gap_monotone(function_spec("exp(x)"), self.IV2, 0.7)
+        self.differences(function_spec("exp(x)"), 0.7)
         assert (runs, refinements) == ([(0.0, 2.0)], [8, 1])
 
     def test_chains_share_the_part_panel(self, monkeypatch):
@@ -532,31 +560,65 @@ class TestSubintervalMonotonicity:
             return refine(sample, stack, tol, width)
 
         monkeypatch.setattr(quadrature, "_refine", counted_refinement)
-        # the [0, 0.7] part-panel of the first call is remembered for the second
+        # the [0, 0.7] part-panel of the differences is remembered for the gaps on [0, 0.7]
         f = function_spec("exp(x)")
-        hh_gap_monotone(f, self.IV2, 0.7)
-        refined_gap_chains(f, CurvatureBounds(1.0, E * E), self.IV2, 0.7)
+        self.differences(f, 0.7)
+        for rule in SUBINTERVAL:
+            subinterval_gap(rule, f, self.BAND2, self.IV2, 0.7)
         assert refinements == [8, 1]
 
     def test_refined_chains_exp_frozen(self):
-        band = CurvatureBounds(1.0, E * E)
-        pair_a, pair_b = refined_gap_chains(EXP, band, self.IV2, 1.0)
-        assert pair_a[0] == pytest.approx(0.30957955433961304, abs=1e-10)
-        assert pair_a[1] == pytest.approx(0.013946945546125116, abs=1e-10)
-        assert pair_b[0] == pytest.approx(3.2182818284590451, abs=1e-10)
-        assert pair_b[1] == pytest.approx(0.42703572730370715, abs=1e-10)
-        assert pair_a[0] >= pair_a[1] >= 0.0
-        assert pair_b[0] >= pair_b[1] >= 0.0
+        # the lower end is the paper's refined chain
+        # G_ab - m w²/24 >= ρ·(G_ax - m w_x²/24), frozen at x = 1
+        enc, diff = subinterval_gap_difference(Rule.MIDPOINT_GAP, EXP, self.BAND2, self.IV2, 1.0)
+        assert diff.value - enc.lower == pytest.approx(0.30957955433961304 - 0.013946945546125116, abs=1e-10)
+        # at x = 0.7 the upper end is M·w²(1 - ρ³)/24, a third of the
+        # M·w²(1 - ρ³)/8 that padding M x²/2 - f by M w²/8 gave
+        enc, diff = subinterval_gap_difference(Rule.MIDPOINT_GAP, EXP, self.BAND2, self.IV2, 0.7)
+        g_ab = (E * E - 1.0) / 2.0 - E
+        g_ax = (math.exp(0.7) - 1.0) / 0.7 - math.exp(0.35)
+        assert diff.value == pytest.approx(g_ab - 0.35 * g_ax, abs=1e-10)  # 0.46604
+        assert enc.lower == pytest.approx(4.0 * (1.0 - 0.35**3) / 24.0, rel=1e-14)  # 0.15952
+        assert enc.upper == pytest.approx(E * E * 4.0 * (1.0 - 0.35**3) / 24.0, rel=1e-14)  # 1.17871
+        assert 3.0 * enc.upper == pytest.approx(3.5361, abs=1e-4)
 
     def test_refined_chains_width_whose_square_overflows(self):
         flat, iv = CurvatureBounds(0.0, 0.0), Interval(0.0, 1e200)
-        with pytest.raises(ParameterOutOfRange, match=r"refined chains: the width 1e\+200 .* w\*\*2"):
-            refined_gap_chains(function_spec("1"), flat, iv, 5e199)
+        with pytest.raises(ParameterOutOfRange, match=r"midpoint-gap: the width 5e\+199 .* w\*\*2"):
+            subinterval_gap_difference(Rule.MIDPOINT_GAP, function_spec("1"), flat, iv, 5e199)
 
     def test_refined_chains_tight_for_quadratic(self):
-        pair_a, _ = refined_gap_chains(SQ, SQ_BAND, Interval(1.0, 3.0), 2.0)
-        assert pair_a[0] == pytest.approx(0.0, abs=1e-11)
-        assert pair_a[1] == pytest.approx(0.0, abs=1e-11)
+        for rule in SUBINTERVAL:
+            enc, diff = subinterval_gap_difference(rule, SQ, SQ_BAND, Interval(1.0, 3.0), 2.0)
+            assert enc.width == pytest.approx(0.0, abs=1e-15)
+            assert diff.value == pytest.approx(enc.lower, abs=1e-11)
+
+    @pytest.mark.parametrize("rule", SUBINTERVAL)
+    def test_difference_kernel_is_nonnegative(self, rule):
+        # D = L_ab - ρ·L_ax on [0, 1], L_ax being the row on [0, ρ], in
+        # exact arithmetic at ρ = r/64
+        gap = bounds._GAPS[rule]
+        alpha = Fraction(gap.alpha)
+        nodes = [(Fraction(beta), Fraction(v)) for beta, _, v in gap.nodes(None)]
+        for r in range(1, 65):
+            rho = Fraction(r, 64)
+
+            def difference(mean_ab, mean_ax, f):
+                ab = alpha * mean_ab + sum(beta * f(v) for beta, v in nodes)
+                return ab - rho * (alpha * mean_ax + sum(beta * f(v * rho) for beta, v in nodes))
+
+            mass = difference(Fraction(1, 6), rho * rho / 6, lambda t: t * t / 2)
+            assert mass == Fraction(gap.scale(96.0, None)) / Fraction(gap.divisor) / 96 * (1 - rho**3)
+            # the Peano kernel K(s) = D[(t - s)₊] at s = j/256, times 2·256²
+            # to stay in integers; every node v and v·ρ is such an s
+            n, k = 256, 4 * r  # ρ = k/n
+            terms = [(_integer(2 * n * beta), _integer(n * v), _integer(2 * k * beta), _integer(k * v))
+                     for beta, v in nodes]
+            for j in range(n + 1):
+                kernel = _integer(alpha) * ((n - j) ** 2 - max(k - j, 0) ** 2) + sum(
+                    c * max(p - j, 0) - d * max(q - j, 0) for c, p, d, q in terms
+                )
+                assert kernel >= 0, (r, j)
 
 
 class TestVasicLackovic:
@@ -727,7 +789,6 @@ def test_asymmetric_weights_agree_with_mpmath(name):
     window = vasic_lackovic(EXP, g, NodeWeights(7.0, 3.0), UNIT, 0.2)
     close(window, math.exp(wT / wG) * wG, (1.0 - wT / wG + E * wT / wG) * wG, wFG)
 
-    (left1, mid1, _), (left2, mid2, _) = complement_weight_chains(EXP, g, EXP_BAND, UNIT)
-    assert mid1 == pytest.approx(chord - FG - 0.5 * P, abs=1e-12)
-    assert mid2 == pytest.approx(0.5 * E * P - chord + FG, abs=1e-12)
-    assert left1 >= mid1 >= 0.0 and left2 >= mid2 >= 0.0
+    enc, r = complement_weight_gap(EXP, g, EXP_BAND, UNIT)
+    assert r.value == pytest.approx(TRAP_GAP_EXP - trap, abs=1e-12)
+    close(enc, 1.0 / 12.0 - 0.5 * P, E * (1.0 / 12.0 - 0.5 * P), r.value)

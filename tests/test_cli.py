@@ -469,7 +469,7 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["trials"] == 2
         assert payload["failed"] == 0
-        assert payload["passed"] + payload["inconclusive"] == 90
+        assert payload["passed"] + payload["inconclusive"] == 88
 
     def test_zero_trials_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "0", "--seed", "1")

@@ -8,11 +8,14 @@ import pytest
 
 from convexcert import bounds
 from convexcert.core import (
+    Enclosure,
     Interval,
     Monotonicity,
     OracleInconclusive,
     ParameterOutOfRange,
     Provenance,
+    QuadResult,
+    Rule,
 )
 from convexcert.expr import evaluation_spec
 from convexcert.quadrature import classify_weight
@@ -29,7 +32,7 @@ from convexcert.verify import (
     slope_normalized,
 )
 
-# the 25 operation labels the battery must exercise every trial
+# the 24 operation labels the battery must exercise every trial
 EXPECTED_OPS = {
     "hermite_hadamard",
     "fejer",
@@ -39,16 +42,15 @@ EXPECTED_OPS = {
     "symmetric_pair_gap_bounds",
     "fejer_trapezoid_gap_bounds",
     "fejer_midpoint_gap_bounds",
-    "complement_weight_chains_lower",
-    "complement_weight_chains_upper",
+    "complement_weight_gap",
     "bisection_bounds_mean",
     "bisection_bounds_quarter",
     "h1_functional",
     "h2_functional",
-    "hh_gap_monotone_trapezoid",
-    "hh_gap_monotone_midpoint",
-    "refined_gap_chains_lower",
-    "refined_gap_chains_upper",
+    "subinterval_gap_difference_trapezoid",
+    "subinterval_gap_difference_midpoint",
+    "subinterval_gap_trapezoid",
+    "subinterval_gap_midpoint",
     "vasic_lackovic",
     "mean_ordering",
     "al_gap_check",
@@ -195,7 +197,7 @@ class TestFalsify:
         # any change to node positions or float order in the oracle, the
         # bands or the harness moves these figures
         payload = json.loads(falsify(50, 42, 1e-10).to_json())
-        assert (payload["passed"], payload["failed"], payload["inconclusive"]) == (2250, 0, 0)
+        assert (payload["passed"], payload["failed"], payload["inconclusive"]) == (2200, 0, 0)
         assert repr(payload["worst_violation"]) == "2.842170943040401e-14"
         assert payload["failures"] == []
 
@@ -222,19 +224,22 @@ class TestFalsify:
             indent=2,
         )
 
-    def test_one_trial_calls_hh_gap_monotone_once(self, monkeypatch):
+    def test_one_trial_calls_each_difference_once(self, monkeypatch):
+        # a check computes its enclosure and target in one call
         calls = []
-        original = bounds.hh_gap_monotone
+        for name in ("subinterval_gap_difference", "complement_weight_gap"):
+            original = getattr(bounds, name)
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(bounds, "hh_gap_monotone", counting)
+            monkeypatch.setattr(bounds, name, counting)
         report = falsify(1, 3)
-        assert len(calls) == 1
-        assert report.op_counts["hh_gap_monotone_trapezoid"] == 1
-        assert report.op_counts["hh_gap_monotone_midpoint"] == 1
+        assert sorted(calls) == ["complement_weight_gap"] + 2 * ["subinterval_gap_difference"]
+        assert report.op_counts["subinterval_gap_difference_trapezoid"] == 1
+        assert report.op_counts["subinterval_gap_difference_midpoint"] == 1
+        assert report.op_counts["complement_weight_gap"] == 1
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ParameterOutOfRange):
@@ -251,11 +256,10 @@ class TestFalsify:
 
 
 class TestBattery:
-    LABELS = ("chain_lower", "chain_upper")
-
     def test_one_check_per_chain(self):
         battery = _Battery(slack=0.0)
-        battery.orderings(self.LABELS, lambda: [[2.0, 1.0, 0.0], [1.0, 2.0]])
+        battery.ordering("chain_lower", lambda: [2.0, 1.0, 0.0])
+        battery.ordering("chain_upper", lambda: [1.0, 2.0])
         assert (battery.passed, battery.failed) == (1, 1)
         assert battery.op_counts == {"chain_lower": 1, "chain_upper": 1}
         assert battery.failures[0].operation == "chain_upper"
@@ -267,6 +271,27 @@ class TestBattery:
         def unconverged():
             raise OracleInconclusive("oracle did not converge", 0.0)
 
-        battery.orderings(self.LABELS, unconverged)
-        assert battery.inconclusive == 2
-        assert battery.op_counts == {"chain_lower": 1, "chain_upper": 1}
+        def refused():
+            raise ParameterOutOfRange("refused")
+
+        battery.ordering("chain", unconverged)
+        battery.containment("enclosure", unconverged)
+        battery.containment("refused", refused)
+        assert (battery.passed, battery.failed, battery.inconclusive) == (0, 1, 2)
+        assert battery.op_counts == {"chain": 1, "enclosure": 1, "refused": 1}
+        assert battery.failures[0].details == "unexpected error: ParameterOutOfRange('refused')"
+
+    def test_nan_inside_a_chain_fails(self):
+        battery = _Battery(slack=0.0)
+        battery.ordering("x", lambda: [2.0, 1.0, math.nan, 0.0])
+        assert (battery.passed, battery.failed) == (0, 1)
+
+    def test_containment_reads_one_pair(self):
+        battery = _Battery(slack=0.0)
+        enc = Enclosure(0.0, 1.0, "unit", Rule.FEJER)
+        battery.containment("inside", lambda: (enc, QuadResult(0.5, 0.0, 1, True)))
+        battery.containment("outside", lambda: (enc, 2.0))
+        battery.containment("unconverged", lambda: (enc, QuadResult(5.0, 0.0, 1, False)))
+        assert (battery.passed, battery.failed, battery.inconclusive) == (1, 1, 1)
+        assert battery.failures[0].details == "target 2.0 outside (0.0, 1.0)"
+        assert battery.worst == 1.0
