@@ -21,7 +21,6 @@ with identical arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import NamedTuple
@@ -112,9 +111,15 @@ def _make_certificate(
     )
 
 
+def _json(payload: object) -> str:
+    import json  # only for JSON output, so a plain import skips it
+
+    return json.dumps(payload, indent=2)
+
+
 def _emit_certificates(certs: list[Certificate], as_json: bool, notes: list[str]) -> int:
     if as_json:
-        print(json.dumps([c.to_dict() for c in certs], indent=2))
+        print(_json([c.to_dict() for c in certs]))
     else:
         for note in notes:
             print(f"note: {note}")
@@ -253,7 +258,7 @@ def cmd_means(args: argparse.Namespace) -> int:
     )
     if args.json:
         payload = {"a": a, "b": b, "p": args.p, "means": means, "ordering_ok": ordering_ok}
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         width = max(map(len, means))
         for name, value in means.items():

@@ -29,9 +29,12 @@ interval [a, b] is read from them as a prefix sum, plus one adaptive
 part-panel where x falls inside a panel, and remembered too.
 
 Every weight check — sign, ``[0, 1]`` range and monotonicity — is
-sampled, not certified: it reads one grid of 101 uniform points with a
-slack of 1e-9, and steps within 1e-12 count as ties in the monotonicity
-scan.  No rule needs a symmetric weight, so symmetry is not checked.
+sampled, not certified: it reads g at a, at the 120 Kronrod nodes of
+the 8 starting panels in order, and at b, with a slack of 1e-9, and
+steps within 1e-12 count as ties in the monotonicity scan.  The nodes
+are read through the weight's memo of that floor, so the first integral
+or moment against g on the interval evaluates nothing new.  No rule
+needs a symmetric weight, so symmetry is not checked.
 """
 
 from __future__ import annotations
@@ -101,8 +104,7 @@ _G7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
 # panel is below what any further split can resolve
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
-# grid size and slack of every sampled weight check
-_SAMPLES = 101
+# slack of every sampled weight check
 _SLACK = 1e-9
 
 # tolerance for "equal" consecutive samples in the monotonicity scan
@@ -381,10 +383,16 @@ def moment_about(
     )
 
 
-def _grid(interval: Interval) -> list[float]:
+def _weight_sample(g: Callable[[float], float], interval: Interval) -> list[float]:
+    """g at a, at the Kronrod nodes of the starting panels in order, and
+    at b; the nodes are read through g's floor memo, which the oracle's
+    runs against g on the interval share.  A degenerate interval reads
+    its one point."""
     a, b = interval.a, interval.b
-    step = (b - a) / (_SAMPLES - 1)
-    return [a + k * step for k in range(_SAMPLES)]
+    if a == b:
+        return [g(a)]
+    nodes = _floor(a, b, 1 << _MIN_DEPTH)[1]
+    return [g(a), *_sample(g, nodes, (a, b)), g(b)]
 
 
 def _steps(values: list[float]) -> tuple[bool, bool]:
@@ -407,14 +415,14 @@ def _monotonicity(rises: bool, falls: bool) -> Monotonicity:
 
 
 def monotone_profile(g: Callable[[float], float], interval: Interval) -> tuple[bool, bool]:
-    """(any rise, any fall) of g between consecutive grid points,
+    """(any rise, any fall) of g between consecutive sample points,
     remembered in ``g``'s memo like :func:`integrate`."""
     key = ("monotone_profile", interval.a, interval.b)
-    return _remember(g, key, lambda: _steps(_at(g, _grid(interval))))
+    return _remember(g, key, lambda: _steps(_weight_sample(g, interval)))
 
 
 def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
-    """Sample a weight once on the grid and record its flags, remembered
+    """Sample a weight once and record its flags, remembered
     in ``g``'s memo like :func:`integrate`.
 
     A weight that is flat everywhere is weakly monotone in both
@@ -433,9 +441,9 @@ def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
 
 
 def _weight_flags(g: FunctionSpec, interval: Interval) -> tuple[Monotonicity, bool]:
-    """The flags from one grid sample, whose steps also answer
+    """The flags from one sample, whose steps also answer
     :func:`monotone_profile` on the interval afterwards."""
-    values = _at(g, _grid(interval))
+    values = _weight_sample(g, interval)
     lo, hi = min(values), max(values)
     if lo < -_SLACK:
         raise NegativeWeight(f"weight {g.text!r} reaches {lo} on the interval")

@@ -15,10 +15,9 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import bounds as bd
 from . import means as mn
@@ -231,6 +230,8 @@ class TrialReport(NamedTuple):
         payload = self._asdict()
         del payload["op_counts"]
         payload["failures"] = [record._asdict() for record in self.failures]
+        import json  # only here and in the CLI's JSON printers, so a plain import skips it
+
         return json.dumps(payload, indent=2)
 
 
@@ -285,7 +286,8 @@ class _Battery:
         if status == _INCONCLUSIVE:
             self.inconclusive += 1
             return
-        self.worst = max(self.worst, violation)
+        if violation > self.worst or math.isnan(violation):  # max() drops a NaN after a number
+            self.worst = violation
         if status == _PASS:
             self.passed += 1
         else:
@@ -305,8 +307,13 @@ class _Battery:
             self._record(operation, _FAIL, math.inf, f"unexpected error: {exc!r}")
         return None
 
-    def _judge(self, operation: str, violation: float, details: str) -> None:
-        self._record(operation, _PASS if violation <= self.slack else _FAIL, violation, details)
+    def _judge(self, operation: str, violation: float, describe: Callable[[], str]) -> None:
+        """Record ``violation`` against the slack; ``describe()`` is the
+        failure text, built only for a failing check."""
+        if violation <= self.slack:
+            self._record(operation, _PASS, violation, "")
+        else:
+            self._record(operation, _FAIL, violation, describe())
 
     def containment(self, operation: str, make) -> None:
         """Check the enclosure of ``make()``, a pair (enclosure, target),
@@ -320,14 +327,17 @@ class _Battery:
                 self._record(operation, _INCONCLUSIVE, 0.0, "")
                 return
             target = target.value
-        details = f"target {target!r} outside ({enc.lower!r}, {enc.upper!r})"
-        self._judge(operation, _containment(enc, target), details)
+        self._judge(
+            operation,
+            _containment(enc, target),
+            lambda: f"target {target!r} outside ({enc.lower!r}, {enc.upper!r})",
+        )
 
     def ordering(self, operation: str, make_values) -> None:
         """Check a nonincreasing chain of oracle-built values."""
         values = self._attempt(operation, make_values)
         if values is not None:
-            self._judge(operation, _chain_violation(values), f"chain not ordered: {values!r}")
+            self._judge(operation, _chain_violation(values), lambda: f"chain not ordered: {values!r}")
 
 
 def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float) -> None:

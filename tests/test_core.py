@@ -247,12 +247,13 @@ class TestValueTypes:
         )
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # a CLI call imports the package in a fresh interpreter, and these
-        # two modules would cost it more than the package itself
+        # a CLI call imports the package in a fresh interpreter, and the
+        # first two modules would cost it more than the package itself;
+        # json is loaded only where JSON is written
         src = str(Path(convexcert.__file__).resolve().parent.parent)
         code = (
             f"import sys; sys.path.insert(0, {src!r}); from convexcert import cli, verify; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
         )
         done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"

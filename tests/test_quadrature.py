@@ -323,8 +323,8 @@ class TestSharedNodeValues:
             integrate(function_spec("log(0.3749 - x)"), UNIT)
 
     def test_weight_failing_at_a_mirror_after_the_first_miss_classifies(self):
-        # the mirror 1 - x of the grid point x = 0.7000000000000001 is the
-        # pole; classifying samples the grid alone, never a mirror
+        # the mirror 1 - x of x = 0.7000000000000001 is the pole;
+        # classifying reads its own sample alone, never a mirror
         g = evaluation_spec("1/(x - 0.29999999999999993)^2")
         with pytest.raises(DomainError):
             g(1.0 - 0.7000000000000001)
@@ -465,11 +465,23 @@ class TestClassifyWeight:
         assert ws.range01
 
     def test_weight_is_sampled_once(self):
-        # the 101 grid values, and no mirrored points
+        # both ends and the 120 nodes of the 8 starting panels, and no
+        # mirrored points; a degenerate interval reads its one point
         for text in ("x*(1 - x)", "2*x"):
             g = Counted(text)
             classify_weight(g, UNIT)
-            assert g.calls == 101, text
+            assert g.calls == 122, text
+            g = Counted(text)
+            classify_weight(g, Interval(0.5, 0.5))
+            assert g.calls == 1, text
+
+    def test_first_integral_after_classification_samples_nothing(self, monkeypatch):
+        # the sample reads g's memo of the starting nodes, as the oracle does
+        g = evaluation_spec("1 + x^2")
+        classify_weight(g, UNIT)
+        monkeypatch.setattr(quadrature, "_at", None)
+        assert integrate(g, UNIT).value == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert moment_ab(g, UNIT).value == pytest.approx(13.0 / 60.0, rel=1e-15)
 
     def test_remembered_per_interval(self, monkeypatch):
         g = evaluation_spec("1 + x^2")

@@ -286,6 +286,15 @@ class TestBattery:
         battery.ordering("x", lambda: [2.0, 1.0, math.nan, 0.0])
         assert (battery.passed, battery.failed) == (0, 1)
 
+    def test_nan_violation_reaches_the_worst(self):
+        # max() would drop a NaN that follows a number
+        battery = _Battery(slack=0.0)
+        battery.containment("x", lambda: (Enclosure(0.0, 1.0, "", Rule.FEJER), math.nan))
+        assert battery.failed == 1
+        assert math.isnan(battery.worst)
+        battery.containment("y", lambda: (Enclosure(0.0, 1.0, "", Rule.FEJER), 2.0))
+        assert math.isnan(battery.worst)
+
     def test_containment_reads_one_pair(self):
         battery = _Battery(slack=0.0)
         enc = Enclosure(0.0, 1.0, "unit", Rule.FEJER)
