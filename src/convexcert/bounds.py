@@ -8,6 +8,8 @@ Jensen-side counterpart.  Bounds are closed-form in the curvature band
 moments.  The oracle targets the bounds are meant to bracket
 are provided alongside as ``target_*`` evaluators so callers (CLI,
 falsification harness, tests) can verify containment independently.
+An enclosure's ``target_description`` is a fixed label of its target, so a
+check formats no text; a certificate's inputs are in the CLI's ``inputs``.
 
 Each of the six unweighted gaps is a table row L[f] = α·mean(f) + Σ β·f(x_j):
 its oracle value on [a, b] and on [a, x], with the band's scale w²·L[t²/2]
@@ -54,6 +56,7 @@ from .core import (
     RangeViolated,
     Rule,
     WeightSpec,
+    _midpoint,
 )
 from .expr import FunctionSpec, require_convex
 from .quadrature import (
@@ -182,9 +185,7 @@ def hermite_hadamard(f: FunctionSpec, interval: Interval) -> Enclosure:
     require_convex(f, interval)
     lo = f(interval.midpoint)
     hi = 0.5 * (f(interval.a) + f(interval.b))
-    return _enclosure(
-        lo, hi, f"integral mean of {f.text} over [{interval.a}, {interval.b}]", Rule.HERMITE_HADAMARD
-    )
+    return _enclosure(lo, hi, "integral mean", Rule.HERMITE_HADAMARD)
 
 
 _EQUAL = NodeWeights(1.0, 1.0)
@@ -241,8 +242,8 @@ def _sandwich(
     ws = _as_weight(g, window)
     require_convex(f, interval)
     lower, upper, _ = _sides(f, ws.function, interval, nodes, window, tol)
-    what = f"integral of {f.text} * {ws.function.text} over [{window.a}, {window.b}]"
-    return _enclosure(_oracle(lower, "weight moments"), _oracle(upper, "weight moments"), what, rule)
+    lo, hi = _oracle(lower, "weight moments"), _oracle(upper, "weight moments")
+    return _enclosure(lo, hi, "weighted integral", rule)
 
 
 def fejer(
@@ -362,11 +363,8 @@ def gap_bounds(
         raise ParameterOutOfRange(f"{rule.value} is not an unweighted gap rule")
     if gap.lam and lam is None:
         raise ParameterOutOfRange(f"{rule.value} needs lambda")
-    lv = lam.value if gap.lam else None
-    at = "" if lv is None else f" at lambda={lv}"
-    what = f"{gap.description}{at} on [{interval.a}, {interval.b}]"
     w2 = _width_power(interval.width, 2, rule.value)
-    return _band(c, gap.scale(w2, lv), what, rule, gap.divisor)
+    return _band(c, gap.scale(w2, lam.value if gap.lam else None), gap.description, rule, gap.divisor)
 
 
 def fejer_trapezoid_gap_bounds(
@@ -382,12 +380,7 @@ def fejer_trapezoid_gap_bounds(
     nonnegative for a nonnegative weight)."""
     ws = _as_weight(g, interval)
     mab = max(_oracle(moment_ab(ws.function, interval, tol), "endpoint moment"), 0.0)
-    return _band(
-        c,
-        0.5 * mab,
-        f"weighted trapezoid gap of {f.text} with weight {ws.function.text}",
-        Rule.WEIGHTED_TRAPEZOID_GAP,
-    )
+    return _band(c, 0.5 * mab, "weighted trapezoid gap", Rule.WEIGHTED_TRAPEZOID_GAP)
 
 
 def fejer_midpoint_gap_bounds(
@@ -405,12 +398,7 @@ def fejer_midpoint_gap_bounds(
     ws = _as_weight(g, interval)
     y = _sides(f, ws.function, interval, _EQUAL, interval, tol).y
     my = max(_oracle(moment_about(ws.function, interval, y, 2, tol), "moment about the barycentre"), 0.0)
-    return _band(
-        c,
-        0.5 * my,
-        f"weighted midpoint gap of {f.text} with weight {ws.function.text}",
-        Rule.WEIGHTED_MIDPOINT_GAP,
-    )
+    return _band(c, 0.5 * my, "weighted midpoint gap", Rule.WEIGHTED_MIDPOINT_GAP)
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +438,7 @@ def _endpoint_functional(
     if name == "h1":
         val = 0.5 * (f(a) + f(x)) * rg.value - rfg.value
     else:
-        val = rfg.value - f(0.5 * (a + x)) * rg.value
+        val = rfg.value - f(_midpoint(a, x)) * rg.value
     if not (rg.converged and rfg.converged):
         raise OracleInconclusive(f"oracle did not converge for {name}", val)
     return val
@@ -529,6 +517,9 @@ def subinterval_gap(
     return enc, _gap_value(rule, f, interval, x, tol, None)
 
 
+_DIFFERENCES = {Rule.TRAPEZOID_GAP: "trapezoid gap difference", Rule.MIDPOINT_GAP: "midpoint gap difference"}
+
+
 def subinterval_gap_difference(
     rule: Rule, f: FunctionSpec, c: CurvatureBounds, interval: Interval, x: float, tol: float = 1e-10
 ) -> _Pair:
@@ -542,15 +533,14 @@ def subinterval_gap_difference(
     The lower end is the paper's curvature-refined chain, and ρ·L_ax >= 0
     is the lower end of :func:`subinterval_gap`.
     """
-    if rule not in (Rule.TRAPEZOID_GAP, Rule.MIDPOINT_GAP):
+    what = _DIFFERENCES.get(rule)
+    if what is None:
         raise ParameterOutOfRange(f"{rule.value} has no subinterval difference")
     if interval.is_degenerate():
         raise ParameterOutOfRange("a subinterval difference needs a non-degenerate interval")
-    a, b = interval.a, interval.b
-    rho = (x - a) / interval.width
+    rho = (x - interval.a) / interval.width
     part = subinterval_gap(rule, f, c, interval, x, tol)  # x is checked before [a, b] runs
-    what = f"{_GAPS[rule].description} on [{a}, {b}] minus {rho} times on [{a}, {x}]"
-    return _difference(subinterval_gap(rule, f, c, interval, b, tol), part, 1.0, rho, what)
+    return _difference(subinterval_gap(rule, f, c, interval, interval.b, tol), part, 1.0, rho, what)
 
 
 def complement_weight_gap(
@@ -574,8 +564,7 @@ def complement_weight_gap(
     p = Problem(f, interval, tol, c, ws)
     rules = Rule.TRAPEZOID_GAP, Rule.WEIGHTED_TRAPEZOID_GAP
     trapezoid, weighted = ((RULES[rule].enclose(p), RULES[rule].target(p)) for rule in rules)
-    what = f"weighted trapezoid gap of {f.text} with weight 1 - ({ws.function.text})"
-    return _difference(trapezoid, weighted, w, 1.0, what)
+    return _difference(trapezoid, weighted, w, 1.0, "complement weight gap")
 
 
 # --------------------------------------------------------------------------

@@ -190,12 +190,17 @@ class Interval(_Checked, NamedTuple("Interval", [("a", float), ("b", float)])):
     @property
     def midpoint(self) -> float:
         """(a + b)/2, halved before the sum where the sum overflows."""
-        if abs(self.a + self.b) < math.inf:
-            return 0.5 * (self.a + self.b)
-        return 0.5 * self.a + 0.5 * self.b
+        return _midpoint(self.a, self.b)
 
     def is_degenerate(self) -> bool:
         return self.a == self.b
+
+
+def _midpoint(a: float, b: float) -> float:
+    """:attr:`Interval.midpoint` of two finite floats, with no Interval
+    built: bit for bit 0.5·(a + b) wherever that sum is finite."""
+    s = a + b
+    return 0.5 * s if abs(s) < math.inf else 0.5 * a + 0.5 * b
 
 
 class Lambda(_Checked, NamedTuple("Lambda", [("value", float)])):
@@ -243,6 +248,8 @@ class Enclosure(
 ):
     """A two-sided bound [lower, upper] for a named target quantity.
 
+    ``target_description`` is a fixed label of the target ("midpoint gap"),
+    not of the call: a certificate's inputs are in the CLI's ``inputs``.
     Invariant: ``lower <= upper`` exactly.  ``upper`` may be ``+inf``
     (e.g. an exponential bound that overflows); it is still a bound.
     """

@@ -38,6 +38,7 @@ from .core import (
     NonSmoothExpression,
     ParseError,
     Provenance,
+    _midpoint,
 )
 
 __all__ = [
@@ -730,7 +731,7 @@ def _remember(owner: object, key: tuple, compute: Callable[[], _T]) -> _T:
     Any other callable may not be, so it always computes.  Nothing
     outside the spec holds an entry: it goes when the spec goes.  Keys
     compare floats by value, so -0.0 and 0.0 share an entry; a result
-    that can tell them apart is keyed on their reprs.
+    that can tell them apart is keyed on their signs too.
     """
     if not isinstance(owner, FunctionSpec):
         return compute()
@@ -768,7 +769,7 @@ _NODES = 33  # Chebyshev nodes of the heuristic band
 
 def _chebyshev_grid(interval: Interval, samples: int) -> list[float]:
     a, b = interval.a, interval.b
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    mid, half = _midpoint(a, b), 0.5 * (b - a)
     nodes = [mid + half * math.cos((2 * k + 1) * math.pi / (2 * samples)) for k in range(samples)]
     return [a, *nodes, b]
 
@@ -778,9 +779,10 @@ def _f2_range(f: FunctionSpec, interval: Interval, what: str) -> tuple[float, fl
     :func:`curvature_range`), computed once per spec and interval."""
     if f.d2 is None:
         raise NonSmoothExpression(f"{what} needs a second derivative for {f.text!r}")
-    # keyed on the reprs: the walker can return an end itself (f'' = x),
-    # and -0.0 == 0.0 would otherwise share an entry
-    key = ("f2_range", repr(interval.a), repr(interval.b))
+    # keyed on the signs of the ends too: the walker can return an end
+    # itself (f'' = x), and -0.0 == 0.0 would otherwise share an entry
+    a, b = interval.a, interval.b
+    key = ("f2_range", a, math.copysign(1.0, a), b, math.copysign(1.0, b))
     return _remember(f, key, lambda: _f2_analysis(f, interval))
 
 

@@ -29,6 +29,7 @@ from .core import (
     NonpositiveInput,
     ParameterOutOfRange,
     Rule,
+    _midpoint,
 )
 
 __all__ = [
@@ -79,9 +80,7 @@ def _require_positive(*values: float) -> None:
 def arithmetic_mean(a: float, b: float) -> float:
     """(a + b)/2, halved before the sum where the sum overflows."""
     _require_positive(a, b)
-    if a + b < math.inf:
-        return 0.5 * (a + b)
-    return 0.5 * a + 0.5 * b
+    return _midpoint(a, b)
 
 
 def geometric_mean(a: float, b: float) -> float:
@@ -331,7 +330,7 @@ def young_ratio_bounds(a: float, b: float, lam: float) -> Enclosure:
     valid bound.
     """
     alpha, beta, w = _young_normalise(a, b, lam)
-    desc = f"(lam*a + (1-lam)*b) / (a^lam * b^(1-lam)) for a={a}, b={b}, lam={lam}"
+    desc = "(lam*a + (1-lam)*b) / (a^lam * b^(1-lam))"
     c = w * (1.0 - w)
     if c == 0.0 or alpha == beta:
         return Enclosure(1.0, 1.0, desc, Rule.YOUNG_RATIO)
@@ -362,12 +361,7 @@ def young_difference_bounds(a: float, b: float, lam: float) -> Enclosure:
     gap = gap_bounds(
         Rule.CHORD_GAP, CurvatureBounds(alpha, beta), Interval(math.log(alpha), math.log(beta)), Lambda(w)
     )
-    return Enclosure(
-        gap.lower,
-        gap.upper,
-        f"lam*a + (1-lam)*b - a^lam * b^(1-lam) for a={a}, b={b}, lam={lam}",
-        Rule.YOUNG_DIFFERENCE,
-    )
+    return Enclosure(gap.lower, gap.upper, "lam*a + (1-lam)*b - a^lam * b^(1-lam)", Rule.YOUNG_DIFFERENCE)
 
 
 def young_ratio_target(a: float, b: float, lam: float) -> float:

@@ -53,6 +53,7 @@ from .core import (
     NegativeWeight,
     QuadResult,
     WeightSpec,
+    _midpoint,
     check_tolerance,
 )
 from .expr import FunctionSpec, _remember
@@ -222,7 +223,7 @@ _Sampler = Callable[[Sequence[float], tuple[float, float] | None], list[float]]
 
 def _nodes(panels: Iterable[tuple[float, float]]) -> list[float]:
     """The 15 Kronrod nodes of each panel, panel after panel."""
-    halves = ((0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in panels)
+    halves = ((_midpoint(lo, hi), 0.5 * (hi - lo)) for lo, hi in panels)
     return [center + half * x for center, half in halves for x in _NODES]
 
 
@@ -309,7 +310,7 @@ def _refine(
         converged = math.isfinite(value)
         if converged and not (err <= tol * (hi - lo) / width or err <= _ROUNDOFF * _mass(fx, lo, hi)):
             if depth < MAX_DEPTH:
-                mid = 0.5 * (lo + hi)
+                mid = _midpoint(lo, hi)
                 stack.append((mid, hi, depth + 1, None))
                 stack.append((lo, mid, depth + 1, None))
                 continue
@@ -432,10 +433,11 @@ def classify_weight(g: FunctionSpec, interval: Interval) -> WeightSpec:
     Raises:
         NegativeWeight: if any sample is below ``-1e-9``.
     """
-    # keyed on the reprs, as g may tell -0.0 from 0.0; the memo keeps the
-    # flags, not the spec, which holds g: a cycle through g's memo would
-    # keep g alive until the cyclic collector runs
-    key = ("classify_weight", repr(interval.a), repr(interval.b))
+    # keyed on the signs of the ends too, as g may tell -0.0 from 0.0; the
+    # memo keeps the flags, not the spec, which holds g: a cycle through
+    # g's memo would keep g alive until the cyclic collector runs
+    a, b = interval.a, interval.b
+    key = ("classify_weight", a, math.copysign(1.0, a), b, math.copysign(1.0, b))
     monotone, range01 = _remember(g, key, lambda: _weight_flags(g, interval))
     return WeightSpec(g, monotone, range01)
 

@@ -72,7 +72,14 @@ class ConvexInstance(NamedTuple):
     function: FunctionSpec
     interval: Interval
     curvature: CurvatureBounds
-    recipe: str
+    seed: int
+    family: str
+
+    @property
+    def recipe(self) -> str:
+        """The text that rebuilds the case, formatted on demand."""
+        a, b = self.interval
+        return f"seed={self.seed} family={self.family} interval=[{a!r}, {b!r}] f={self.function.text}"
 
 
 _FAMILIES = ("quadratic", "exp", "log", "mixed")
@@ -125,9 +132,7 @@ def random_convex_instance(seed: int) -> ConvexInstance:
     for t in terms[1:]:
         ast = Binary("add", ast, t)
     f = function_spec(ast)
-
-    recipe = f"seed={seed} family={family} interval=[{a!r}, {b!r}] f={f.text}"
-    return ConvexInstance(f, interval, curvature_range(f, interval), recipe)
+    return ConvexInstance(f, interval, curvature_range(f, interval), seed, family)
 
 
 def _poly_node(coeffs: list[float], u: Node) -> Node:
@@ -275,11 +280,11 @@ class _Battery:
         self.failures: list[FailureRecord] = []
         self.op_counts: dict[str, int] = {}
         self._trial = 0
-        self._recipe = ""
+        self._instance: ConvexInstance | None = None
 
-    def start_trial(self, index: int, recipe: str) -> None:
+    def start_trial(self, index: int, instance: ConvexInstance) -> None:
         self._trial = index
-        self._recipe = recipe
+        self._instance = instance
 
     def _record(self, operation: str, status: str, violation: float, details: str) -> None:
         self.op_counts[operation] = self.op_counts.get(operation, 0) + 1
@@ -292,9 +297,8 @@ class _Battery:
             self.passed += 1
         else:
             self.failed += 1
-            self.failures.append(
-                FailureRecord(self._trial, operation, self._recipe, details)
-            )
+            recipe = "" if self._instance is None else self._instance.recipe
+            self.failures.append(FailureRecord(self._trial, operation, recipe, details))
 
     def _attempt(self, operation: str, make):
         """``make()``, or None once an oracle that did not converge or an
@@ -342,7 +346,7 @@ class _Battery:
 
 def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float) -> None:
     inst = random_convex_instance(_mix(master_seed, index, 0))
-    battery.start_trial(index, inst.recipe)
+    battery.start_trial(index, inst)
     f, interval, c = inst.function, inst.interval, inst.curvature
     # The oracle adjudicates containment at slack 10·check_tol, so its
     # own integrals run two orders tighter: quadrature noise (e.g. near

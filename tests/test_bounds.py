@@ -412,6 +412,12 @@ class TestEndpointFunctionals:
         assert h2_functional(SQ, g, UNIT, 0.5) == pytest.approx(1.0 / 128.0, abs=1e-11)
         assert h2_functional(SQ, g, UNIT, 0.0) == 0.0
 
+    def test_centre_of_an_overflowing_sum_stays_finite(self):
+        # on [1e308, 1.7e308] a + b overflows; the values are from mpmath
+        f, g, iv = function_spec("x^-1"), evaluation_spec("1"), Interval(1e308, 1.7e308)
+        assert h1_functional(f, g, iv, iv.b) == pytest.approx(0.0252541018790061, rel=1e-12)
+        assert h2_functional(f, g, iv, iv.b) == pytest.approx(0.0121097325436519, rel=1e-12)
+
     def test_h1_nondecreasing_for_nondecreasing_convex_f(self):
         g = evaluation_spec("1 - x")
         values = [h1_functional(EXP, g, UNIT, x) for x in (0.0, 0.25, 0.5, 0.75, 1.0)]

@@ -282,6 +282,21 @@ class TestDifferentiate:
 
 
 class TestCurvatureRange:
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_signed_zero_ends_keep_their_own_band(self, first):
+        # f'' = x returns the end itself, so -0.0 and 0.0 give bands whose
+        # m differs in sign, and the memo must not hand one out for the other
+        f = function_spec("x^3/6")
+        for a in (first, -first):
+            m = curvature_range(f, Interval(a, 1.0)).m
+            assert m == 0.0 and math.copysign(1.0, m) == math.copysign(1.0, a)
+
+    def test_chebyshev_grid_of_an_overflowing_sum_is_finite(self):
+        # 1e308 + 1.7e308 overflows; the centre is halved before the sum
+        grid = expr._chebyshev_grid(Interval(1e308, 1.7e308), 5)
+        assert all(1e308 <= x <= 1.7e308 for x in grid)
+        assert grid[3] == 1.35e308
+
     def test_quadratic_is_exact(self):
         c = curvature_range(function_spec("x^2"), Interval(0.0, 1.0))
         assert c.provenance is Provenance.EXACT

@@ -48,6 +48,12 @@ class TestIntegrate:
         r2 = integrate(lambda t: t**3, Interval(0.0, 2.0))
         assert abs(r2.value - 4.0) <= 1e-12
 
+    def test_panel_centres_of_an_overflowing_sum_stay_finite(self):
+        # 1e308 + 1.7e308 overflows: each centre is halved before the sum
+        r = integrate(function_spec("x^-1"), Interval(1e308, 1.7e308))
+        assert r.converged
+        assert r.value == pytest.approx(math.log(1.7), rel=1e-12)
+
     def test_minimum_panel_count(self):
         # Acceptance is deferred to depth 3, i.e. 8 panels of 15 Kronrod
         # nodes each; K15 is exact on t*t, so none of them splits.
@@ -482,6 +488,14 @@ class TestClassifyWeight:
         monkeypatch.setattr(quadrature, "_at", None)
         assert integrate(g, UNIT).value == pytest.approx(4.0 / 3.0, rel=1e-15)
         assert moment_ab(g, UNIT).value == pytest.approx(13.0 / 60.0, rel=1e-15)
+
+    def test_signed_zero_ends_keep_their_own_entries(self):
+        # no expression tells -0.0 from 0.0 without a DomainError, so the
+        # flags agree; the keys still keep the two ends apart
+        g = evaluation_spec("1 + x")
+        for a in (-0.0, 0.0):
+            assert classify_weight(g, Interval(a, 1.0)).monotone is Monotonicity.INCREASING
+        assert sum(key[0] == "classify_weight" for key in g._memo) == 2
 
     def test_remembered_per_interval(self, monkeypatch):
         g = evaluation_spec("1 + x^2")

@@ -87,6 +87,16 @@ class TestInstanceGeneration:
             d2 = inst.function.second_derivative(x)
             assert inst.curvature.m - 1e-12 * scale <= d2 <= inst.curvature.M + 1e-12 * scale
 
+    def test_recipe_text_is_pinned(self):
+        # the recipe is formatted from the instance on demand, to the same text
+        inst = random_convex_instance(3)
+        assert (inst.seed, inst.family) == (3, "log")
+        assert inst.recipe == (
+            "seed=3 family=log interval=[0.26537535177571137, 1.5314020245259792] "
+            "f=2.747834435192943*x^2.0 + -(1.8956786843901152*log(x + 1.5978522485022757))"
+            " + -0.10378585381149374*x + 0.32340833740022346"
+        )
+
     def test_recipe_names_a_known_family(self):
         families = set()
         for seed in range(40):
@@ -256,6 +266,31 @@ class TestFalsify:
 
 
 class TestBattery:
+    def test_a_passing_battery_formats_no_expression_text(self, monkeypatch):
+        from convexcert import expr
+
+        def refuse(node):
+            raise AssertionError("a passing check formatted expression text")
+
+        monkeypatch.setattr(expr, "to_text", refuse)
+        r = falsify(2, 42)
+        assert (r.passed, r.failed, r.inconclusive) == (2 * CHECKS_PER_TRIAL, 0, 0)
+
+    def test_a_failure_carries_the_trial_recipe(self):
+        # no slack passes a check, so every check of the trial fails
+        from convexcert.verify import _mix, _run_trial
+
+        battery = _Battery(slack=-math.inf)
+        _run_trial(battery, 42, 1, 1e-10)
+        recipe = random_convex_instance(_mix(42, 1, 0)).recipe
+        assert battery.failed == CHECKS_PER_TRIAL
+        assert {(record.trial, record.recipe) for record in battery.failures} == {(1, recipe)}
+
+    def test_no_trial_started_leaves_the_recipe_empty(self):
+        battery = _Battery(slack=0.0)
+        battery.ordering("x", lambda: [0.0, 1.0])
+        assert battery.failures[0].recipe == ""
+
     def test_one_check_per_chain(self):
         battery = _Battery(slack=0.0)
         battery.ordering("chain_lower", lambda: [2.0, 1.0, 0.0])
