@@ -301,25 +301,29 @@ _GAPS: dict[Rule, _Gap] = {
 }
 
 
-def _gap_value(rule: Rule, f, interval: Interval, x: float, tol: float, lam: Lambda | None) -> QuadResult:
-    """The oracle value of an unweighted gap on [a, x] inside [a, b]: its
-    row's terms β·f(u·a + v·x) summed left to right, then α·mean(f), with
-    ∫ₐˣ f read from the run over [a, b] (see :func:`_integral_to`) and
-    |α| times its error; without a mean, no error and one evaluation a node."""
+def _gap_value(rule: Rule, f, a: float, x: float, lam: Lambda | None, mean: Callable[[], QuadResult]) -> QuadResult:
+    """The value of an unweighted gap on [a, x]: its row's terms
+    β·f(u·a + v·x) summed left to right, then α·mean(f), with ``mean()``
+    the integral mean on [a, x] and |α| times its error; without a mean,
+    no error and one evaluation a node."""
     gap = _GAPS[rule]
     if gap.lam and lam is None:
         raise ParameterOutOfRange(f"{gap.description} needs lambda")
-    a = interval.a
     if gap.alpha:
-        if x == a:
-            raise ParameterOutOfRange(f"{rule.value} needs a non-degenerate interval")
-        r = _integral_to(f, interval, x, tol)
+        r = mean()
     terms = [beta * f(u * a + v * x) for beta, u, v in gap.nodes(None if lam is None else lam.value)]
     val = reduce(add, terms)
     if not gap.alpha:
         return QuadResult(val, 0.0, len(terms), True)
-    mean, err = r.value / (x - a), r.error_estimate / (x - a)
-    return QuadResult(val + gap.alpha * mean, abs(gap.alpha) * err, r.evaluations, r.converged)
+    return QuadResult(val + gap.alpha * r.value, abs(gap.alpha) * r.error_estimate, r.evaluations, r.converged)
+
+
+def _oracle_mean(rule: Rule, f, interval: Interval, x: float, tol: float) -> QuadResult:
+    """∫ₐˣ f/(x - a), read from the run over [a, b] (see :func:`_integral_to`)."""
+    if x == interval.a:
+        raise ParameterOutOfRange(f"{rule.value} needs a non-degenerate interval")
+    r, w = _integral_to(f, interval, x, tol), x - interval.a
+    return QuadResult(r.value / w, r.error_estimate / w, r.evaluations, r.converged)
 
 
 def _width_power(w: float, k: int, what: str) -> float:
@@ -514,7 +518,7 @@ def subinterval_gap(
     enc = gap_bounds(rule, c, Interval(interval.a, x))
     if x == interval.a:
         return enc, QuadResult(0.0, 0.0, 0, True)
-    return enc, _gap_value(rule, f, interval, x, tol, None)
+    return enc, _gap_value(rule, f, interval.a, x, None, lambda: _oracle_mean(rule, f, interval, x, tol))
 
 
 _DIFFERENCES = {Rule.TRAPEZOID_GAP: "trapezoid gap difference", Rule.MIDPOINT_GAP: "midpoint gap difference"}
@@ -639,8 +643,9 @@ def target_gap(
     coefficient that integral carries in the gap.  The two weighted gaps
     are those of :func:`_sides`; they read f' at the weight's barycentre.
     """
+    a, b = interval
     if rule in _GAPS:
-        return _gap_value(rule, f, interval, interval.b, tol, lam)
+        return _gap_value(rule, f, a, b, lam, lambda: _oracle_mean(rule, f, interval, b, tol))
     if rule not in (Rule.WEIGHTED_TRAPEZOID_GAP, Rule.WEIGHTED_MIDPOINT_GAP):
         raise ParameterOutOfRange(f"{rule.value} is not a gap rule")
     if g is None:

@@ -2,8 +2,8 @@
 
 Provides the classical means (arithmetic, geometric, harmonic,
 logarithmic, identric), the two parametric families (power mean and
-integral power mean), the subinterval-monotonicity checks that the
-convexity-gap machinery induces on them, and two-sided refinements of
+integral power mean), the subinterval-monotonicity checks of t^p and
+-log t as enclosures of gap differences, and two-sided refinements of
 the weighted arithmetic--geometric mean inequality (Young's
 inequality), in ratio and difference form.
 
@@ -20,7 +20,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .bounds import gap_bounds
+from .bounds import _check_x, _difference, _gap_value, gap_bounds
 from .core import (
     CurvatureBounds,
     Enclosure,
@@ -28,9 +28,11 @@ from .core import (
     Lambda,
     NonpositiveInput,
     ParameterOutOfRange,
+    QuadResult,
     Rule,
     _midpoint,
 )
+from .expr import _exp, _pow
 
 __all__ = [
     "MeanKind",
@@ -230,71 +232,67 @@ def mean(kind: MeanKind, a: float, b: float, p: float | None = None) -> MeanValu
 # --------------------------------------------------------------------------
 
 
-def _check_window(a: float, x: float, b: float) -> None:
+def _window_gap(rule: Rule, f, d2, f_mean, a: float, b: float, x: float, what: str) -> tuple[Enclosure, QuadResult]:
+    """(b - a)·L_ab - (x - a)·L_ax for the gap L of ``rule`` of a fixed
+    convex f, with f'' = ``d2`` monotone and ``f_mean(a, u)`` the integral
+    mean of f on [a, u] in closed form.  The kernel of the difference is
+    >= 0, so :func:`bounds._difference` combines the gaps' enclosures in
+    the band (f'' at a and b) end by end.  Raises ParameterOutOfRange
+    where the band or the value is not finite."""
     _require_positive(a, x, b)
-    if not (a <= x <= b):
-        raise ParameterOutOfRange(f"need a <= x <= b, got a={a}, x={x}, b={b}")
-    if a == b:
-        raise ParameterOutOfRange("gap checks need a < b")
+    if not a < b:
+        raise ParameterOutOfRange(f"gap checks need a < b, got a={a}, b={b}")
+    _check_x(Interval(a, b), x)
+    band = CurvatureBounds(*sorted((d2(a), d2(b))))
+
+    def gap(u: float) -> tuple[Enclosure, QuadResult]:
+        value = _gap_value(rule, f, a, u, None, lambda: QuadResult(f_mean(a, u), 0.0, 0, True))
+        return gap_bounds(rule, band, Interval(a, u)), value
+
+    enc, value = _difference(gap(b), gap(x), b - a, x - a, what)
+    if not math.isfinite(value.value):
+        raise ParameterOutOfRange(f"{what} is not finite on [{a}, {b}] at x = {x}")
+    return enc, value
 
 
-def al_gap_check(p: float, a: float, b: float, x: float) -> tuple[float, float]:
-    """Width-scaled gap between p-th powers of the power and integral
-    power means, on [a, b] versus [a, x]::
+def al_gap_check(p: float, a: float, b: float, x: float) -> tuple[Enclosure, QuadResult]:
+    """Width-scaled gaps between p-th powers of the power and integral
+    power means, A_p^p - L_p^p being the trapezoid gap of t^p::
 
-        (b - a)(A_p(a,b)^p - L_p(a,b)^p)  >=  (x - a)(A_p(a,x)^p - L_p(a,x)^p)
+        (b - a)(A_p(a,b)^p - L_p(a,b)^p)  -  (x - a)(A_p(a,x)^p - L_p(a,x)^p)  >=  0
 
-    valid for p < 0 (p != -1) or p >= 1, where t^p is convex.  Returns
-    the (left, right) pair; both sides are nonnegative in exact
-    arithmetic.  Numerically each side is a cancelling difference with
-    absolute error on the order of eps * max(a,b)^(p+1), so chain
-    comparisons for narrow windows must allow slack at that scale.
+    for p < 0 or p >= 1, where t^p is convex: the difference's enclosure
+    and value (see :func:`_window_gap`).  The value cancels, with absolute
+    error on the order of eps * max(a,b)^(p+1).
     """
-    if (0.0 <= p < 1.0) or p == -1.0:
-        raise ParameterOutOfRange(
-            f"gap check needs p in (-inf, 0) u [1, inf) excluding -1, got {p}"
-        )
-    _check_window(a, x, b)
-
-    def side(lo: float, hi: float) -> float:
-        if lo == hi:
-            return 0.0
-        ap = 0.5 * (lo**p + hi**p)
-        lp = (hi ** (p + 1.0) - lo ** (p + 1.0)) / ((p + 1.0) * (hi - lo))
-        return (hi - lo) * (ap - lp)
-
-    return side(a, b), side(a, x)
+    if 0.0 <= p < 1.0:
+        raise ParameterOutOfRange(f"gap check needs p in (-inf, 0) u [1, inf), got {p}")
+    return _window_gap(
+        Rule.TRAPEZOID_GAP, lambda t: _pow(t, p), lambda t: p * (p - 1.0) * _pow(t, p - 2.0),
+        lambda lo, hi: _pow(integral_power_mean(p, lo, hi), p), a, b, x, "window gap difference of t^p",
+    )
 
 
-def harmonic_log_gap_check(a: float, b: float, x: float) -> tuple[float, float]:
-    """The p = -1 companion of :func:`al_gap_check`, via reciprocals of
-    the harmonic and logarithmic means::
+def harmonic_log_gap_check(a: float, b: float, x: float) -> tuple[Enclosure, QuadResult]:
+    """:func:`al_gap_check` at p = -1, via the harmonic and logarithmic means::
 
-        (b - a)(1/H(a,b) - 1/L(a,b))  >=  (x - a)(1/H(a,x) - 1/L(a,x))
+        (b - a)(1/H(a,b) - 1/L(a,b))  -  (x - a)(1/H(a,x) - 1/L(a,x))  >=  0
     """
-    _check_window(a, x, b)
-
-    def side(lo: float, hi: float) -> float:
-        if lo == hi:
-            return 0.0
-        return (hi - lo) * (1.0 / harmonic_mean(lo, hi) - 1.0 / logarithmic_mean(lo, hi))
-
-    return side(a, b), side(a, x)
+    return al_gap_check(-1.0, a, b, x)
 
 
-def identric_ratio_check(a: float, b: float, x: float) -> tuple[float, float]:
-    """Width-powered arithmetic/identric ratios::
+def identric_ratio_check(a: float, b: float, x: float) -> tuple[Enclosure, QuadResult]:
+    """Logs of width-powered arithmetic/identric ratios, log(A/I) being the
+    midpoint gap of -log t (log I is the integral mean of log t)::
 
-        (A(a,b)/I(a,b))^(b-a)  >=  (A(a,x)/I(a,x))^(x-a)  >=  1
+        (b - a)·log(A(a,b)/I(a,b))  -  (x - a)·log(A(a,x)/I(a,x))  >=  0
+
+    The difference's enclosure and value (see :func:`_window_gap`).
     """
-    _check_window(a, x, b)
-
-    def side(lo: float, hi: float) -> float:
-        if lo == hi:
-            return 1.0
-        return (arithmetic_mean(lo, hi) / identric_mean(lo, hi)) ** (hi - lo)
-
-    return side(a, b), side(a, x)
+    return _window_gap(
+        Rule.MIDPOINT_GAP, lambda t: -math.log(t), lambda t: _pow(t, -2.0),
+        lambda lo, hi: -math.log(identric_mean(lo, hi)), a, b, x, "window gap difference of -log t",
+    )
 
 
 # --------------------------------------------------------------------------
@@ -305,18 +303,10 @@ def identric_ratio_check(a: float, b: float, x: float) -> tuple[float, float]:
 def _young_normalise(a: float, b: float, lam: float) -> tuple[float, float, float]:
     """Check the operands and λ, then order them: return (alpha, beta, weight of alpha)."""
     _require_positive(a, b)
-    if not (0.0 <= lam <= 1.0):
-        raise ParameterOutOfRange(f"lambda must lie in [0, 1], got {lam}")
+    Lambda(lam)
     if a <= b:
         return a, b, lam
     return b, a, 1.0 - lam
-
-
-def _safe_exp(t: float) -> float:
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
 
 
 def young_ratio_bounds(a: float, b: float, lam: float) -> Enclosure:
@@ -337,12 +327,12 @@ def young_ratio_bounds(a: float, b: float, lam: float) -> Enclosure:
     # scale the gap by each operand before squaring: (alpha - beta)**2
     # can overflow for extreme operand ratios, while the beta-relative
     # ratio lies in (-1, 0] and the alpha-relative one saturates to an
-    # IEEE infinity that _safe_exp turns into a still-valid +inf bound
+    # IEEE infinity that _exp turns into a still-valid +inf bound
     rb = (alpha - beta) / beta
     ra = (alpha - beta) / alpha
     return Enclosure(
-        _safe_exp(0.5 * c * rb * rb),
-        _safe_exp(0.5 * c * ra * ra),
+        _exp(0.5 * c * rb * rb),
+        _exp(0.5 * c * ra * ra),
         desc,
         Rule.YOUNG_RATIO,
     )
@@ -368,11 +358,15 @@ def young_ratio_target(a: float, b: float, lam: float) -> float:
     """The ratio (λa + (1-λ)b) / (a^λ b^(1-λ)) itself.
 
     Exact (1.0) at the degenerate corners a = b and λ in {0, 1}, where
-    the enclosure collapses to a point.
+    the enclosure collapses to a point.  A subnormal operand is scaled
+    exactly with the other (the ratio is homogeneous of degree 0).
     """
     _young_normalise(a, b, lam)
     if a == b:
         return 1.0
+    if min(a, b) < sys.float_info.min and max(a, b) < 1.0:  # the larger into [0.5, 1)
+        e = math.frexp(max(a, b))[1]
+        a, b = math.ldexp(a, -e), math.ldexp(b, -e)
     num = lam * a + (1.0 - lam) * b
     den = math.pow(a, lam) * math.pow(b, 1.0 - lam)
     return num / den

@@ -291,10 +291,10 @@ def test_special_means_suite():
         slack = 1e-12 * m
         assert h <= g + slack <= l + 2 * slack <= i + 3 * slack <= m + 4 * slack, (a, b)
 
-    left, right = al_gap_check(2.0, 1.0, 2.0, 1.5)
-    assert left == pytest.approx(1.0 / 6.0, abs=1e-9)
-    assert right == pytest.approx(1.0 / 48.0, abs=1e-9)   # 0.0208333...
-    print("[ok] means: A_2(1,7)=5, L/I goldens, 10^4 ordering pairs, window check (1/6, 1/48)")
+    enc, value = al_gap_check(2.0, 1.0, 2.0, 1.5)   # 1/6 - 1/48 in the point band 7/48
+    assert enc.lower == enc.upper == pytest.approx(7.0 / 48.0, abs=1e-9)
+    assert value.value == pytest.approx(1.0 / 6.0 - 1.0 / 48.0, abs=1e-9)
+    print("[ok] means: A_2(1,7)=5, L/I goldens, 10^4 ordering pairs, window check 1/6 - 1/48 in [7/48]")
 
 
 def test_falsification_battery():

@@ -371,6 +371,11 @@ class TestYoung:
         assert code == 1
         assert "error:" in err
 
+    def test_subnormal_operands_are_contained(self, capsys):
+        code, out, _ = run_cli(capsys, "young", "--a", "5e-324", "--b", "1e-323", "--lambda", "0.5")
+        assert code == 0
+        assert out.startswith("young-ratio: ") and "oracle=1.06066017178 -> contained" in out
+
     @pytest.mark.parametrize("a,b", [("nan", "4"), ("4", "nan")])
     def test_nan_operand_named_in_the_error(self, capsys, a, b):
         code, out, err = run_cli(capsys, "young", "--a", a, "--b", b, "--lambda", "0.5")

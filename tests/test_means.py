@@ -225,23 +225,29 @@ class TestFloatRangeEnds:
         assert chain == sorted(chain)
 
 class TestSubintervalGapChecks:
+    """Each check returns (enclosure, value) for the width-scaled gap
+    difference (b - a)·L_ab - (x - a)·L_ax."""
+
     def test_al_golden_case(self):
-        left, right = al_gap_check(2.0, 1.0, 2.0, 1.5)
-        assert left == pytest.approx(1.0 / 6.0, abs=1e-14)
-        assert right == pytest.approx(1.0 / 48.0, abs=1e-14)
+        # t² has f'' = 2, so the band is the point 2·(1³ - 0.5³)/12 = 7/48
+        enc, value = al_gap_check(2.0, 1.0, 2.0, 1.5)
+        assert enc.lower == enc.upper == pytest.approx(7.0 / 48.0, abs=1e-15)
+        assert value.value == pytest.approx(1.0 / 6.0 - 1.0 / 48.0, abs=1e-14)
+        assert value.converged and enc.source_rule is Rule.TRAPEZOID_GAP
 
     def test_al_window_edges(self):
-        left, right = al_gap_check(2.0, 1.0, 2.0, 1.0)
-        assert right == 0.0
-        left2, right2 = al_gap_check(2.0, 1.0, 2.0, 2.0)
-        assert right2 == left2 == left
+        enc, value = al_gap_check(2.0, 1.0, 2.0, 1.0)
+        assert enc.lower == enc.upper == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert value.value == pytest.approx(1.0 / 6.0, abs=1e-14)
+        enc2, value2 = al_gap_check(2.0, 1.0, 2.0, 2.0)
+        assert (enc2.lower, enc2.upper, value2.value) == (0.0, 0.0, 0.0)
 
     def test_al_affine_exponent_is_tight(self):
-        left, right = al_gap_check(1.0, 1.0, 2.0, 1.5)
-        assert left == pytest.approx(0.0, abs=1e-14)
-        assert right == pytest.approx(0.0, abs=1e-14)
+        enc, value = al_gap_check(1.0, 1.0, 2.0, 1.5)
+        assert (enc.lower, enc.upper) == (0.0, 0.0)
+        assert value.value == pytest.approx(0.0, abs=1e-14)
 
-    @pytest.mark.parametrize("p", [0.0, 0.5, 0.999, -1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.999])
     def test_al_invalid_exponents(self, p):
         with pytest.raises(ParameterOutOfRange):
             al_gap_check(p, 1.0, 2.0, 1.5)
@@ -250,6 +256,21 @@ class TestSubintervalGapChecks:
     def test_al_invalid_windows(self, a, b, x):
         with pytest.raises(ParameterOutOfRange):
             al_gap_check(2.0, a, b, x)
+
+    @pytest.mark.parametrize(
+        "check,args",
+        [
+            (al_gap_check, (4.0, 1.0, 1e80, 2.0)),
+            (al_gap_check, (-3.0, 1e-120, 1.0, 0.5)),
+            (al_gap_check, (2.0, 1e200, 2e200, 1.5e200)),
+            (identric_ratio_check, (1.0, 1e300, 2.0)),
+            (harmonic_log_gap_check, (1e-320, 1.0, 0.5)),
+        ],
+    )
+    def test_overflow_is_refused(self, check, args):
+        # a power, a band or w² beyond the float range
+        with pytest.raises(ParameterOutOfRange):
+            check(*args)
 
     @given(
         p=st.sampled_from([-3.0, -0.5, -0.05, 1.0, 1.5, 2.0, 4.0]),
@@ -261,42 +282,45 @@ class TestSubintervalGapChecks:
     def test_al_chain_property(self, p, a, width, frac):
         b = a + width
         x = a + frac * width
-        left, right = al_gap_check(p, a, b, x)
-        # documented conditioning: each side carries absolute error of
+        enc, value = al_gap_check(p, a, b, x)
+        # documented conditioning: the value carries absolute error of
         # order eps * b^(p+1) from the cancelling mean difference
-        scale = max(1.0, abs(left), b ** (p + 1.0))
-        assert left >= right - 1e-12 * scale
-        assert right >= -1e-12 * scale
+        scale = max(1.0, abs(value.value), b ** (p + 1.0))
+        assert enc.lower >= 0.0
+        assert enclosure_contains(enc, value.value, tol=1e-12 * scale)
 
     def test_harmonic_log_golden(self):
-        left, right = harmonic_log_gap_check(1.0, 2.0, 1.5)
-        assert left == pytest.approx(0.75 - math.log(2.0), rel=1e-13)
-        assert right == pytest.approx(0.5 * (5.0 / 6.0 - 2.0 * math.log(1.5)), rel=1e-13)
-        assert left >= right >= 0.0
+        left = 0.75 - math.log(2.0)
+        right = 0.5 * (5.0 / 6.0 - 2.0 * math.log(1.5))
+        enc, value = harmonic_log_gap_check(1.0, 2.0, 1.5)
+        assert value.value == pytest.approx(left - right, rel=1e-13)
+        assert enclosure_contains(enc, value.value)
+        assert (enc, value) == al_gap_check(-1.0, 1.0, 2.0, 1.5)
 
     @given(a=positive, width=st.floats(min_value=0.01, max_value=10.0), frac=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_harmonic_log_chain_property(self, a, width, frac):
         b = a + width
-        left, right = harmonic_log_gap_check(a, b, a + frac * width)
-        scale = max(1.0, abs(left))
-        assert left >= right - 1e-11 * scale
-        assert right >= -1e-11 * scale
+        x = a + frac * width
+        enc, value = harmonic_log_gap_check(a, b, x)
+        assert (enc, value) == al_gap_check(-1.0, a, b, x)
+        assert enclosure_contains(enc, value.value, tol=1e-11 * max(1.0, abs(value.value)))
 
     def test_identric_ratio_endpoints(self):
-        left, right = identric_ratio_check(1.0, E, 1.0)
-        assert right == 1.0
-        left2, right2 = identric_ratio_check(1.0, E, E)
-        assert right2 == left2
+        # log(A/I) on [1, e] is log((1 + e)/2) - 1/(e - 1)
+        enc, value = identric_ratio_check(1.0, E, 1.0)
+        assert value.value == pytest.approx((E - 1.0) * (math.log((1.0 + E) / 2.0) - 1.0 / (E - 1.0)), rel=1e-13)
+        assert enclosure_contains(enc, value.value)
+        enc2, value2 = identric_ratio_check(1.0, E, E)
+        assert (enc2.lower, enc2.upper, value2.value) == (0.0, 0.0, 0.0)
 
     @given(a=positive, width=st.floats(min_value=0.01, max_value=5.0), frac=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_identric_ratio_chain_property(self, a, width, frac):
         b = a + width
-        left, right = identric_ratio_check(a, b, a + frac * width)
-        scale = max(1.0, abs(left))
-        assert left >= right - 1e-11 * scale
-        assert right >= 1.0 - 1e-11 * scale
+        enc, value = identric_ratio_check(a, b, a + frac * width)
+        assert enc.lower >= 0.0
+        assert enclosure_contains(enc, value.value, tol=1e-11 * max(1.0, abs(value.value)))
 
 
 class TestYoung:
@@ -357,6 +381,15 @@ class TestYoung:
         assert young_ratio_target(2.0, 9.0, 0.3) == pytest.approx(
             young_ratio_target(9.0, 2.0, 0.7), rel=1e-14
         )
+
+    def test_subnormal_operands_are_contained(self):
+        # the ratio is scaled out of the subnormal range before it rounds
+        assert young_ratio_target(5e-324, 1e-323, 0.5) == pytest.approx(1.5 / math.sqrt(2.0), rel=1e-15)
+        rng = random.Random(1074)
+        for _ in range(2000):
+            a, b = 2.0 ** rng.uniform(-1074.0, -1000.0), 2.0 ** rng.uniform(-1074.0, -1000.0)
+            lam = rng.random()
+            assert enclosure_contains(young_ratio_bounds(a, b, lam), young_ratio_target(a, b, lam)), (a, b, lam)
 
     def test_extreme_ratio_overflows_to_valid_bound(self):
         enc = young_ratio_bounds(1e-300, 1e300, 0.5)
