@@ -68,6 +68,7 @@ from .bounds import (
     fejer,
     fejer_midpoint_gap_bounds,
     fejer_trapezoid_gap_bounds,
+    functional_increments,
     gap_bounds,
     h1_functional,
     h2_functional,
@@ -163,6 +164,7 @@ __all__ = [
     "fejer_midpoint_gap_bounds",
     "h1_functional",
     "h2_functional",
+    "functional_increments",
     "subinterval_gap",
     "subinterval_gap_difference",
     "complement_weight_gap",

@@ -27,8 +27,8 @@ For g symmetric about the midpoint these are the paper's Fejér forms.
 The paper's chains (first >= second >= 0) are differences k₁·L₁ - k₂·L₂
 of two gaps of one band (m, M).  Where such a difference has a Peano
 kernel >= 0, its enclosure is the two gaps' enclosures combined end by
-end (see :func:`_difference`): so for the subinterval differences
-L_ab - ρ·L_ax and the complement-weight gap w·T_ab - W_g.
+end (see :func:`_difference`): so for the subinterval differences L_ab - ρ·L_ax,
+the complement-weight gap w·T_ab - W_g and the steps of :func:`functional_increments`.
 
 :data:`RULES` pairs each rule with the inputs it needs, its enclosure
 and its oracle target, all read from one :class:`Problem`; the CLI and
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import add
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .core import (
     AdmissibilityViolated,
@@ -58,7 +58,7 @@ from .core import (
     WeightSpec,
     _midpoint,
 )
-from .expr import FunctionSpec, require_convex
+from .expr import Binary, Const, FunctionSpec, Var, _remember, require_convex
 from .quadrature import (
     _integral_to,
     classify_weight,
@@ -80,6 +80,7 @@ __all__ = [
     "fejer_midpoint_gap_bounds",
     "h1_functional",
     "h2_functional",
+    "functional_increments",
     "subinterval_gap",
     "subinterval_gap_difference",
     "complement_weight_gap",
@@ -155,9 +156,9 @@ def _barycentre(nodes: NodeWeights, interval: Interval) -> float:
 
 
 def _window(nodes: NodeWeights, interval: Interval, y: float) -> Interval:
-    """The window [A - y, A + y] around the barycentre A."""
+    """The window [A - y, A + y] around the barycentre A, in [a, b] (at y = radius, A ± y may leave it)."""
     center = _barycentre(nodes, interval)
-    return Interval(center - y, center + y)
+    return Interval(max(center - y, interval.a), min(center + y, interval.b))
 
 
 def _oracle(result: QuadResult, what: str) -> float:
@@ -322,7 +323,7 @@ def _oracle_mean(rule: Rule, f, interval: Interval, x: float, tol: float) -> Qua
     """∫ₐˣ f/(x - a), read from the run over [a, b] (see :func:`_integral_to`)."""
     if x == interval.a:
         raise ParameterOutOfRange(f"{rule.value} needs a non-degenerate interval")
-    r, w = _integral_to(f, interval, x, tol), x - interval.a
+    (r,), w = _integral_to(f, interval, [x], tol), x - interval.a
     return QuadResult(r.value / w, r.error_estimate / w, r.evaluations, r.converged)
 
 
@@ -417,52 +418,47 @@ def _check_x(interval: Interval, x: float) -> None:
         )
 
 
-def _endpoint_functional(
-    name: str, f: FunctionSpec, g: WeightLike, interval: Interval, x: float, tol: float
-) -> float:
-    """h1 or h2 on [a, x], after checking x, the weight's direction and
-    convexity."""
-    _check_x(interval, x)
+def _monotone_weight(name: str, g: WeightLike, interval: Interval) -> FunctionSpec:
+    """g, once checked to be nonincreasing for h1, nondecreasing for h2 (or flat)."""
     ws = _as_weight(g, interval)
     rises, falls = monotone_profile(ws.function, interval)
     if name == "h1" and rises:
-        raise MonotonicityViolated(
-            f"h1 needs a nonincreasing weight; {ws.function.text!r} rises"
-        )
+        raise MonotonicityViolated(f"h1 needs a nonincreasing weight; {ws.function.text!r} rises")
     if name == "h2" and falls:
-        raise MonotonicityViolated(
-            f"h2 needs a nondecreasing weight; {ws.function.text!r} falls"
-        )
+        raise MonotonicityViolated(f"h2 needs a nondecreasing weight; {ws.function.text!r} falls")
+    return ws.function
+
+
+def _functional(name: str, f, g, interval: Interval, xs: Sequence[float], tol: float) -> list[QuadResult]:
+    """h1 or h2 at each x of ``xs``, ∫ₐˣ read from the runs over [a, b]."""
+    a, values = interval.a, []
+    for x, rg, rfg in zip(xs, _integral_to(g, interval, xs, tol), _integral_to(f, interval, xs, tol, g)):
+        k = 0.5 * (f(a) + f(x)) if name == "h1" else f(_midpoint(a, x))
+        val = k * rg.value - rfg.value if name == "h1" else rfg.value - k * rg.value
+        err = abs(k) * rg.error_estimate + rfg.error_estimate
+        values.append(QuadResult(val, err, rg.evaluations + rfg.evaluations, rg.converged and rfg.converged))
+    return values
+
+
+def _endpoint_functional(name: str, f, g: WeightLike, interval: Interval, x: float, tol: float) -> float:
+    """h1 or h2 on [a, x], after checking x, the weight's direction and convexity."""
+    _check_x(interval, x)
+    gfn = _monotone_weight(name, g, interval)
     require_convex(f, interval)
     if x == interval.a:
         return 0.0
-    a = interval.a
-    rg = _integral_to(ws.function, interval, x, tol)
-    rfg = _integral_to(f, interval, x, tol, ws.function)
-    if name == "h1":
-        val = 0.5 * (f(a) + f(x)) * rg.value - rfg.value
-    else:
-        val = rfg.value - f(_midpoint(a, x)) * rg.value
-    if not (rg.converged and rfg.converged):
-        raise OracleInconclusive(f"oracle did not converge for {name}", val)
-    return val
+    return _oracle(_functional(name, f, gfn, interval, [x], tol)[0], name)
 
 
 def h1_functional(
     f: FunctionSpec, g: WeightLike, interval: Interval, x: float, tol: float = 1e-10
 ) -> float:
-    """h1(x) = (f(a)+f(x))/2 · ∫ₐˣ g  -  ∫ₐˣ f g.
-
-    For convex *nondecreasing* f and nonincreasing g this is
-    nondecreasing in x with h1(a) = 0 (for g symmetric about the middle
-    of [a, x], the weighted trapezoid gap there).
-    Convexity alone is not enough: f(x) = -x with g(x) = 1 - x on
-    [0, 1] gives h1(x) = -x³/12, strictly decreasing.  The value is
-    computed for any convex f; the monotonicity guarantee is the
-    caller's to invoke only on the valid domain.  Flat weights are
-    accepted (weakly monotone).  Both integrals over [a, x] are read
-    from the oracle's run over [a, b], so the points x of one interval
-    share a single run.
+    """h1(x) = (f(a)+f(x))/2 · ∫ₐˣ g  -  ∫ₐˣ f g, for convex f and
+    nonincreasing (or flat) g; h1(a) = 0, and for g symmetric about the
+    middle of [a, x] it is the weighted trapezoid gap there.  A step
+    h1(x₂) - h1(x₁) is at least the lower end f'(a)·Δμ₁ + m·ΔQ >= 0 of
+    :func:`functional_increments` when f is also nondecreasing (f = -x, g =
+    1 - x on [0, 1] give h1 = -x³/12).  ∫ₐˣ is read from the run over [a, b].
     """
     return _endpoint_functional("h1", f, g, interval, x, tol)
 
@@ -470,17 +466,47 @@ def h1_functional(
 def h2_functional(
     f: FunctionSpec, g: WeightLike, interval: Interval, x: float, tol: float = 1e-10
 ) -> float:
-    """h2(x) = ∫ₐˣ f g  -  f((a+x)/2) · ∫ₐˣ g.
-
-    For convex *nondecreasing* f and nondecreasing g this is
-    nondecreasing in x with h2(a) = 0 (the midpoint-form slack on
-    [a, x]).  As with :func:`h1_functional`, convexity alone does not
-    suffice (f(x) = -x with g(x) = x mirrors the counterexample), so
-    the monotonicity guarantee applies only to nondecreasing f; the
-    value itself is computed for any convex f.  As for h1, ∫ₐˣ is read
-    from the run over [a, b].
+    """h2(x) = ∫ₐˣ f g  -  f((a+x)/2) · ∫ₐˣ g, the midpoint-form slack on
+    [a, x], for convex f and nondecreasing (or flat) g; otherwise as
+    :func:`h1_functional`, with f = -x and g = x as the counterexample.
     """
     return _endpoint_functional("h2", f, g, interval, x, tol)
+
+
+def functional_increments(
+    name: str, f: FunctionSpec, g: WeightLike, c: CurvatureBounds, interval: Interval,
+    xs: Sequence[float], tol: float = 1e-10,
+) -> list[_Pair]:
+    """The steps h(x₂) - h(x₁) of h1 or h2 (``name``, as :func:`h1_functional`
+    computes it) over a < x₁ < … < xₙ <= b, as enclosures with their targets.
+
+    h(x) = ∫f dν_x, with ν_x = (G/2)(δ_a + δ_x) - g·1_[a,x] for h1 and
+    g·1_[a,x] - G·δ_(a+x)/2 for h2, G = ∫ₐˣ g; by Taylor's formula at a,
+    h(x) = f'(a)·μ₁ + ∫K_x f'' with μ₁ = ∫(t - a) dν_x, K_x(s) = ∫(t - s)₊ dν_x.
+    For g monotone in the functional's direction K_x₂ - K_x₁ >= 0 (T. Rajba,
+    Math. Inequal. Appl. 17, 2014), so for *any* f with m <= f'' <= M a step
+    is in f'(a)·Δμ₁ + [m, M]·ΔQ, Q = ½∫(t - a)² dν_x, and Δμ₁ >= 0: the lower
+    end is >= 0 when f'(a) >= 0 and m >= 0 (the paper's monotonicity).  The
+    moments ∫ₐˣ(t - a)ᵏg are read from runs over [a, b], the grid in one pass.
+    """
+    a = interval.a
+    if name not in ("h1", "h2") or not all(u < v <= interval.b for u, v in zip([a, *xs], xs)):
+        raise ParameterOutOfRange(f"{name!r} increments need h1 or h2 and a < x₁ < … <= b, got {list(xs)}")
+    g = _monotone_weight(name, g, interval)
+    # the factors (t - a)^k, kept in f's memo so that the weights of one f share them
+    d = Binary("sub", Var(), Const(a))
+    powers = [_remember(f, ("power", a, k), lambda k=k: FunctionSpec(Binary("pow", d, Const(k)))) for k in (1.0, 2.0)]
+    G, M1, M2 = (_integral_to(g, interval, xs, tol, p) for p in (None, *powers))
+    slope, rule = f.derivative(a), Rule.WEIGHTED_TRAPEZOID_GAP if name == "h1" else Rule.WEIGHTED_MIDPOINT_GAP
+    pairs = [(_enclosure(0.0, 0.0, "", rule), QuadResult(0.0, 0.0, 0, True))]  # h(a) = 0
+    for x, *ms, h in zip(xs, G, M1, M2, _functional(name, f, g, interval, xs, tol)):
+        w, (g0, g1, g2) = x - a, (_oracle(r, f"{name} weight moments") for r in ms)
+        if name == "h1":
+            mu, q = w * g0 / 2.0 - g1, w * w * g0 / 4.0 - g2 / 2.0
+        else:
+            mu, q = g1 - w * g0 / 2.0, g2 / 2.0 - w * w * g0 / 8.0
+        pairs.append((_enclosure(slope * mu + c.m * q, slope * mu + c.M * q, "", rule), h))
+    return [_difference(v, u, 1.0, 1.0, f"{name} increment") for u, v in zip(pairs, pairs[1:])]
 
 
 # --------------------------------------------------------------------------
@@ -492,11 +518,11 @@ _Pair = tuple[Enclosure, QuadResult]  # an enclosure and its oracle target
 
 
 def _difference(first: _Pair, second: _Pair, k1: float, k2: float, description: str) -> _Pair:
-    """k₁·L₁ - k₂·L₂ for two gaps with bands (m·s, M·s) of one (m, M).
-    Where the combination's Peano kernel is >= 0, which the caller
-    vouches for, it lies in [m, M]·(k₁·s₁ - k₂·s₂), the two bands
-    combined end by end.  The target is k₁·t₁ - k₂·t₂, each error scaled
-    by its |k|."""
+    """k₁·L₁ - k₂·L₂ for two gaps with bands (v + m·s, v + M·s) of one
+    (m, M), v being 0 or a term in f'(a) as for h1 and h2.  Where the
+    combination's Peano kernel is >= 0, which the caller vouches for, it
+    lies in k₁·v₁ - k₂·v₂ + [m, M]·(k₁·s₁ - k₂·s₂), the two bands combined
+    end by end.  The target is k₁·t₁ - k₂·t₂, each error scaled by its |k|."""
     (e1, t1), (e2, t2) = first, second
     target = QuadResult(
         k1 * t1.value - k2 * t2.value,

@@ -175,12 +175,12 @@ def _table(
 def _integral_to(
     f: Callable[[float], float],
     interval: Interval,
-    x: float,
+    xs: Sequence[float],
     tol: float,
     g: Callable[[float], float] | None = None,
-) -> QuadResult:
-    """∫ f (or f·g) over [a, x], for a <= x <= b, read from the panels
-    of the run over [a, b] as a prefix sum.
+) -> list[QuadResult]:
+    """∫ f (or f·g) over [a, x] for each x of ``xs`` in [a, b], read from
+    the panels of the run over [a, b] as prefix sums, in one call.
 
     At x = b this is :func:`integrate` itself, at x = a zero.  Otherwise
     the panels whose right edge is at most x are summed, and the one
@@ -190,18 +190,16 @@ def _integral_to(
     [a, x].  Every panel read was accepted with an error at most
     ``tol * w / (b - a) <= tol * w / (x - a)``, so ``tol`` holds
     absolutely on [a, x].  The evaluation count is that of the [a, b]
-    run plus the part-panel's.  The result is remembered in ``f``'s memo
+    run plus the part-panel's.  Each result is remembered in ``f``'s memo
     like the run itself, so a second read of [a, x] runs no part-panel.
     """
     a, b = interval.a, interval.b
-    if x == b:
-        return integrate(f, interval, tol, g)
-    if x == a:
-        return QuadResult(0.0, 0.0, 0, True)
     owner = f if g is None or isinstance(g, FunctionSpec) else None
+    panels, whole = _table(f, g, a, b, tol)
 
-    def prefix() -> QuadResult:
-        panels, whole = _table(f, g, a, b, tol)
+    def prefix(x: float) -> QuadResult:
+        if x in (a, b):
+            return whole if x == b else QuadResult(0.0, 0.0, 0, True)
         k = bisect_right(panels, x, key=itemgetter(0))
         edge = panels[k - 1][0] if k else a
         read, evals = list(panels[:k]), whole.evaluations
@@ -211,7 +209,7 @@ def _integral_to(
             evals += part_evals
         return _sum(read, evals)
 
-    return _remember(owner, ("prefix", g, a, b, x, tol), prefix)
+    return [_remember(owner, ("prefix", g, a, b, x, tol), partial(prefix, x)) for x in xs]
 
 
 # An integrand in batch form: (nodes, floor) -> its values at the nodes,

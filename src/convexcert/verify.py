@@ -5,8 +5,8 @@ curvature band) plus random weights and parameters, runs every bounds
 and means operation against the quadrature oracle, and records
 violations: of containment for every enclosure, the paper's subinterval
 and complement-weight chains and the means window checks included as
-enclosures of gap differences, and of ordering for the h1/h2
-functionals and the classical means.
+enclosures of gap differences, and the steps of the h1/h2 functionals as
+enclosures of their increments; and of ordering for the classical means.
 Library bugs surface as failures; oracle non-convergence is recorded as
 *inconclusive*, never as a failure.  Everything is deterministic:
 per-trial sub-seeds derive from the master seed by counter mixing, so
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from . import bounds as bd
@@ -46,7 +47,6 @@ __all__ = [
     "random_convex_instance",
     "random_symmetric_weight",
     "random_monotone_weight",
-    "slope_normalized",
     "falsify",
     "CHECKS_PER_TRIAL",
 ]
@@ -172,25 +172,6 @@ def random_symmetric_weight(seed: int, interval: Interval) -> WeightSpec:
     return classify_weight(evaluation_spec(ast), interval)
 
 
-def slope_normalized(f: FunctionSpec, interval: Interval) -> FunctionSpec:
-    """Return f plus the smallest linear term making it nondecreasing.
-
-    Adding ``max(0, -f'(a)) · x`` preserves convexity and leaves the
-    second derivative (hence any exact curvature band) untouched.  The
-    monotone-functional ordering — h1 with nonincreasing weights, h2
-    with nondecreasing ones — is a theorem only for *nondecreasing*
-    convex f: already f(x) = -x with weight 1 - x on [0, 1] gives
-    h1(x) = -x³/12, strictly decreasing.  The harness therefore tests
-    that ordering on the normalised instance, where it genuinely holds,
-    instead of blaming the library for out-of-domain inputs.
-    """
-    slope_a = f.derivative(interval.a)
-    if slope_a >= 0.0:
-        return f
-    shifted = Binary("add", f.ast, Binary("mul", Const(-slope_a), Var()))
-    return function_spec(shifted)
-
-
 def random_monotone_weight(seed: int, interval: Interval, decreasing: bool) -> WeightSpec:
     """A nonnegative quadratic-in-τ weight, τ being the normalised
     (and possibly reversed) coordinate, so it is monotone by
@@ -252,9 +233,9 @@ _H_GRID_STEPS = 4
 
 # 4 sandwich/gap checks + 22 lambda-grid checks + 2 weighted gaps
 # + 2 bisection + 1 two-node window + 1 complement-weight gap
-# + 2 functionals + 2 subinterval differences + 2 gaps on [a, x]
+# + 2 × 4 functional steps + 2 subinterval differences + 2 gaps on [a, x]
 # + 6 means checks
-CHECKS_PER_TRIAL = 44
+CHECKS_PER_TRIAL = 50
 
 
 def _containment(enc: Enclosure, value: float) -> float:
@@ -382,19 +363,11 @@ def _run_trial(battery: _Battery, master_seed: int, index: int, check_tol: float
 
     # last point pinned to b: a + n*((b-a)/n) can overshoot b by one ulp
     x_grid = [a + k * (b - a) / _H_GRID_STEPS for k in range(1, _H_GRID_STEPS)] + [b]
-    f_mono = slope_normalized(f, interval)
-    battery.ordering(
-        "h1_functional",
-        lambda: list(
-            reversed([0.0] + [bd.h1_functional(f_mono, g_dec, interval, x, tol) for x in x_grid])
-        ),
-    )
-    battery.ordering(
-        "h2_functional",
-        lambda: list(
-            reversed([0.0] + [bd.h2_functional(f_mono, g_inc, interval, x, tol) for x in x_grid])
-        ),
-    )
+    for name, g in (("h1", g_dec), ("h2", g_inc)):
+        # the steps are computed once; a call that raises raises again for each step
+        steps = cache(partial(bd.functional_increments, name, f, g, c, interval, x_grid, tol))
+        for k in range(_H_GRID_STEPS):
+            battery.containment(f"{name}_functional", lambda: steps()[k])
 
     x_mid = interval.midpoint
     for rule, name in ((Rule.TRAPEZOID_GAP, "trapezoid"), (Rule.MIDPOINT_GAP, "midpoint")):

@@ -5,7 +5,9 @@ the library (exact antiderivatives of polynomials and exponentials),
 so the oracle integrals are being checked, not trusted.
 """
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from convexcert.bounds import (
     fejer,
     fejer_midpoint_gap_bounds,
     fejer_trapezoid_gap_bounds,
+    functional_increments,
     gap_bounds,
     h1_functional,
     h2_functional,
@@ -44,8 +47,9 @@ from convexcert.core import (
     Rule,
     enclosure_contains,
 )
-from convexcert.expr import evaluation_spec, function_spec
+from convexcert.expr import curvature_range, evaluation_spec, function_spec
 from convexcert.quadrature import _integral_to, classify_weight, integrate
+from convexcert.verify import _mix, random_convex_instance, random_monotone_weight
 
 E = math.e
 UNIT = Interval(0.0, 1.0)
@@ -465,8 +469,8 @@ class TestEndpointFunctionals:
             else:
                 expected = rfg - EXP(0.5 * x) * rg
             assert abs(value - expected) <= 1e-14 * max(1.0, abs(value))
-            rg = _integral_to(g, UNIT, x, 1e-10)
-            rfg = _integral_to(EXP, UNIT, x, 1e-10, g)
+            rg = _integral_to(g, UNIT, [x], 1e-10)[0]
+            rfg = _integral_to(EXP, UNIT, [x], 1e-10, g)[0]
             if rule is Rule.WEIGHTED_TRAPEZOID_GAP:
                 assert value == 0.5 * (EXP(0.0) + EXP(x)) * rg.value - rfg.value
             else:
@@ -482,6 +486,174 @@ class TestEndpointFunctionals:
         assert at_one == pytest.approx(-1.0 / 12.0, abs=1e-11)
         assert at_half == pytest.approx(-(0.5**3) / 12.0, abs=1e-11)
         assert at_one < at_half < 0.0
+
+
+# monotone polynomial weights c₀ + c₁t + c₂t² on [0, 1] in each
+# functional's direction: nonincreasing for h1, nondecreasing for h2
+H_WEIGHTS = {"h1": [(1,), (1, -1), (1, -2, 1), (2, -1)], "h2": [(1,), (0, 1), (0, 0, 1), (1, 1)]}
+
+
+def _moment(coeffs, k, lo, hi):
+    """∫ t^k·g(t) over [lo, hi] for the polynomial g, in Fractions."""
+    return sum(Fraction(c) * (hi ** (i + k + 1) - lo ** (i + k + 1)) / (i + k + 1) for i, c in enumerate(coeffs))
+
+
+# f for the mpmath check, beyond convex nondecreasing f: (text, mpmath form)
+INCREMENT_FUNCTIONS = {
+    "3*x - x^2": lambda t, mp: 3 * t - t**2,
+    "exp(2*x) - 5*x": lambda t, mp: mp.exp(2 * t) - 5 * t,
+    "x^4 - 3*x": lambda t, mp: t**4 - 3 * t,
+    "0 - log(x)": lambda t, mp: -mp.log(t),
+}
+
+
+class TestFunctionalIncrements:
+    QUARTERS = [0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("name", ["h1", "h2"])
+    def test_increment_kernel_is_nonnegative(self, name):
+        # ν_x is (G/2)(δ₀ + δ_x) - g·1_[0,x] for h1 and g·1_[0,x] - G·δ_(x/2)
+        # for h2; on the quarter grid of [0, 1], in exact arithmetic, the
+        # step K_x₂ - K_x₁ of the kernel K_x(s) = ∫(t - s)₊ dν_x is >= 0 at
+        # s = j/256, and so is the step of μ₁(x) = ∫t dν_x
+        grid = [Fraction(j, 256) for j in range(257)]
+        for g in H_WEIGHTS[name]:
+            m0, m1 = ([_moment(g, k, 0, s) for s in grid] for k in (0, 1))
+
+            def kernel(i, j):  # K_x(s) at x = grid[i], s = grid[j]
+                x, s = grid[i], grid[j]
+                inner = m1[i] - m1[j] - s * (m0[i] - m0[j]) if j < i else 0
+                return m0[i] / 2 * max(x - s, 0) - inner if name == "h1" else inner - m0[i] * max(x / 2 - s, 0)
+
+            def mu1(i):
+                spread = grid[i] * m0[i] / 2 - m1[i]
+                return spread if name == "h1" else -spread
+
+            for i1, i2 in zip(range(0, 256, 64), range(64, 257, 64)):
+                assert mu1(i2) - mu1(i1) >= 0, (g, i2)
+                for j in range(257):
+                    assert kernel(i2, j) - kernel(i1, j) >= 0, (g, i2, j)
+
+    @pytest.mark.parametrize("name, functional, weight", [("h1", h1_functional, "1 - x"), ("h2", h2_functional, "x")])
+    def test_targets_are_the_functionals_steps(self, name, functional, weight):
+        g = evaluation_spec(weight)
+        steps = functional_increments(name, EXP, g, EXP_BAND, UNIT, self.QUARTERS)
+        values = [functional(EXP, g, UNIT, x) for x in [0.0] + self.QUARTERS]
+        assert [r.value for _, r in steps] == [v - u for u, v in zip(values, values[1:])]
+        for enc, r in steps:
+            assert r.converged and enclosure_contains(enc, r.value, tol=1e-12)
+            assert enc.lower > 0.0 and enc.target_description == f"{name} increment"
+
+    def test_square_with_flat_weight_is_tight(self):
+        # h1 = x³/6 and h2 = x³/12 for f = x², g = 1 on [0, 1]: μ₁ = 0
+        for name, cube in (("h1", 6.0), ("h2", 12.0)):
+            grid = [0.0] + self.QUARTERS
+            steps = functional_increments(name, SQ, evaluation_spec("1"), SQ_BAND, UNIT, self.QUARTERS)
+            for (enc, r), x1, x2 in zip(steps, grid, grid[1:]):
+                exact = (x2**3 - x1**3) / cube
+                assert enc.lower == pytest.approx(exact, abs=1e-15)
+                assert enc.width == pytest.approx(0.0, abs=1e-15)
+                assert r.value == pytest.approx(exact, abs=1e-13)
+
+    def test_decreasing_nonconvex_f_is_enclosed(self):
+        # f = -x has h1 = -x³/12 with g = 1 - x: no ordering holds, but each
+        # step is f'(a)·Δμ₁ with a point band (0, 0)
+        steps = functional_increments("h1", function_spec("0 - x"), evaluation_spec("1 - x"),
+                                      CurvatureBounds(0.0, 0.0), UNIT, [0.5, 1.0])
+        for (enc, r), exact in zip(steps, [-(0.5**3) / 12.0, -(1.0 - 0.5**3) / 12.0]):
+            assert enc.lower == pytest.approx(exact, abs=1e-15)
+            assert r.value == pytest.approx(exact, abs=1e-13)
+
+    def test_guards(self):
+        with pytest.raises(MonotonicityViolated):
+            functional_increments("h1", SQ, evaluation_spec("x"), SQ_BAND, UNIT, self.QUARTERS)
+        with pytest.raises(MonotonicityViolated):
+            functional_increments("h2", SQ, evaluation_spec("1 - x"), SQ_BAND, UNIT, self.QUARTERS)
+        for grid in ([0.0, 1.0], [0.5, 0.5], [0.75, 0.5], [0.5, 1.5]):
+            with pytest.raises(ParameterOutOfRange):
+                functional_increments("h1", SQ, evaluation_spec("1"), SQ_BAND, UNIT, grid)
+        with pytest.raises(ParameterOutOfRange, match="h1 or h2"):
+            functional_increments("h3", SQ, evaluation_spec("1"), SQ_BAND, UNIT, self.QUARTERS)
+
+    def test_memo_closes_no_cycle(self):
+        # the factors (t - a)^k are kept in f's memo, and g's memo keeps
+        # its integrals against them; neither memo refers to the other
+        # spec, so both die without the cyclic collector
+        f, g = function_spec("exp(x)"), evaluation_spec("1 - x")
+        functional_increments("h1", f, g, EXP_BAND, UNIT, self.QUARTERS)
+        refs = weakref.ref(f), weakref.ref(g)
+        gc.disable()
+        try:
+            del f, g
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    @given(
+        name=st.sampled_from(["h1", "h2"]),
+        shape=st.sampled_from(["quadratic", *INCREMENT_FUNCTIONS]),
+        c1=st.floats(-2.0, 2.0),
+        c5=st.floats(-3.0, 3.0),
+        a=st.floats(0.1, 2.0),
+        width=st.floats(0.1, 3.0),
+        e=st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_agree_with_mpmath_for_any_curvature_band(self, name, shape, c1, c5, a, width, e):
+        # f'(a) < 0 and f'' < 0 included: c₁x² + c₅x with c₁ in [-2, 2], or a
+        # fixed f with a decreasing start, against g = e₀ + e₁τ + e₂τ², τ the
+        # coordinate in [0, 1] that makes g fall (h1) or rise (h2)
+        mpmath = pytest.importorskip("mpmath")
+        iv = Interval(a, a + width)
+        if shape == "quadratic":
+            f = function_spec(f"{c1!r}*x^2 + {c5!r}*x")
+            mp_f = lambda t: c1 * t**2 + c5 * t  # noqa: E731
+        else:
+            f = function_spec(shape)
+            mp_f = lambda t: INCREMENT_FUNCTIONS[shape](t, mpmath)  # noqa: E731
+        tau = f"(({iv.b!r} - x)/{width!r})" if name == "h1" else f"((x - {a!r})/{width!r})"
+        g = evaluation_spec(f"{e[0]!r} + {e[1]!r}*{tau} + {e[2]!r}*{tau}^2")
+        c = curvature_range(f, iv)
+        grid = [a + k * width / 4.0 for k in range(1, 4)] + [iv.b]
+        steps = functional_increments(name, f, g, c, iv, grid)
+        with mpmath.workdps(20):
+            points, G, FG = [mpmath.mpf(a)] + grid, [0], [0]
+
+            def mp_g(t):
+                s = (iv.b - t if name == "h1" else t - a) / width
+                return e[0] + e[1] * s + e[2] * s * s
+
+            for u, v in zip(points, points[1:]):  # ∫ₐˣ g and ∫ₐˣ fg, segment by segment
+                G.append(G[-1] + mpmath.quad(mp_g, [u, v], method="gauss-legendre"))
+                FG.append(FG[-1] + mpmath.quad(lambda t: mp_f(t) * mp_g(t), [u, v], method="gauss-legendre"))
+            if name == "h1":
+                values = [(mp_f(points[0]) + mp_f(x)) / 2 * Gx - FGx for x, Gx, FGx in zip(points, G, FG)]
+            else:
+                values = [FGx - mp_f((points[0] + x) / 2) * Gx for x, Gx, FGx in zip(points, G, FG)]
+        # the rounding of f'(a)·μ₁, the band's terms and the f values
+        size = max(abs(f.derivative(a)) * width, abs(c.m) * width**2, abs(c.M) * width**2, abs(f(a)), abs(f(iv.b)), 1.0)
+        slack = 1e-14 * size * float(G[-1])
+        for (enc, r), u, v in zip(steps, values, values[1:]):
+            exact = float(v - u)
+            assert enc.lower - slack <= exact <= enc.upper + slack, (enc, exact)
+            assert r.converged and abs(r.value - exact) <= slack
+
+    def test_lower_end_is_the_papers_monotonicity(self):
+        # on the harness's instances and weights (seed 42, the first 250
+        # trials): where f'(a) >= 0 and m >= 0, every step's lower end is >= 0
+        steps = 0
+        for i in range(250):
+            inst = random_convex_instance(_mix(42, i, 0))
+            f, iv, c = inst.function, inst.interval, inst.curvature
+            if f.derivative(iv.a) < 0.0 or c.m < 0.0:
+                continue
+            grid = [iv.a + k * (iv.b - iv.a) / 4.0 for k in range(1, 4)] + [iv.b]
+            for name, branch in (("h1", 2), ("h2", 3)):
+                g = random_monotone_weight(_mix(42, i, branch), iv, decreasing=name == "h1")
+                for enc, _ in functional_increments(name, f, g, c, iv, grid, 1e-12):
+                    assert enc.lower >= 0.0, (inst.recipe, name)
+                    steps += 1
+        assert steps == 816
 
 
 SUBINTERVAL = (Rule.TRAPEZOID_GAP, Rule.MIDPOINT_GAP)

@@ -137,6 +137,15 @@ class TestBounds:
         assert (code, err) == (0, "")
         assert out.startswith("vasic-lackovic: ") and out.endswith("-> contained\n")
 
+    def test_window_at_the_admissible_radius_stays_inside(self, capsys):
+        # y = radius = 0.4: the float window [A - y, A + y] around A = 1.4
+        # began an ulp below a = 1, where sqrt(x - 1) is undefined; the
+        # oracle is ∫₁^1.8 x²·sqrt(x - 1) = 1.0658164775039 (mpmath)
+        code, out, err = run_cli(capsys, "bounds", "--f", "x^2", "--a", "1", "--b", "2", "--p", "3",
+                                 "--q", "2", "--y", "0.4", "--g", "(x - 1)^0.5", "--rule", "vasic-lackovic")
+        assert (code, err) == (0, "")
+        assert out == "vasic-lackovic: enclosure=(1.04488177022, 1.16394791789) oracle=1.0658164775 -> contained\n"
+
     @pytest.mark.parametrize("rule", ["all", "fejer"])
     def test_asymmetric_weight_certifies_every_weighted_rule(self, capsys, rule):
         code, out, err = run_cli(capsys, "bounds", "--f", "exp(x)", "--a", "0", "--b", "1",
@@ -474,7 +483,7 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["trials"] == 2
         assert payload["failed"] == 0
-        assert payload["passed"] + payload["inconclusive"] == 88
+        assert payload["passed"] + payload["inconclusive"] == 100
 
     def test_zero_trials_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "0", "--seed", "1")

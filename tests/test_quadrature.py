@@ -202,18 +202,19 @@ def _count(monkeypatch, name):
 
 
 class TestMemo:
-    def test_one_trial_runs_13_integrations(self, monkeypatch):
+    def test_one_trial_runs_17_integrations(self, monkeypatch):
         # 38 integrate calls per trial, 14 of them repeats of an
         # integrand, interval and tolerance the trial already integrated;
         # the h1/h2 points and the midpoint of the subinterval checks are
         # edges of the [a, b] panels, so their [a, x] integrals run nothing;
         # the weighted rules add the first moment of their weight on [a, b]
-        # and on the window
+        # and on the window, and h1/h2 the moments ∫(t - a)^k g, k = 1, 2,
+        # of their weights on [a, b]
         runs = _count(monkeypatch, "_adaptive")
         refinements = _count(monkeypatch, "_refine")
         verify.falsify(1, 42)
-        assert len(runs) == 13
-        assert len(refinements) == 13  # no part-panel run
+        assert len(runs) == 17
+        assert len(refinements) == 17  # no part-panel run
 
     def test_second_integral_of_a_spec_evaluates_nothing(self, monkeypatch):
         f, g = function_spec("exp(x)"), evaluation_spec("x*(1 - x)")
@@ -349,8 +350,8 @@ class TestPrefixRead:
         f, g = evaluation_spec("x^0.5"), evaluation_spec("exp(x)")
         with mpmath.workdps(30):
             for r, reference in (
-                (_integral_to(f, UNIT, x, 1e-10), mpmath.sqrt),
-                (_integral_to(f, UNIT, x, 1e-10, g), lambda t: mpmath.sqrt(t) * mpmath.exp(t)),
+                (_integral_to(f, UNIT, [x], 1e-10)[0], mpmath.sqrt),
+                (_integral_to(f, UNIT, [x], 1e-10, g)[0], lambda t: mpmath.sqrt(t) * mpmath.exp(t)),
             ):
                 exact = float(mpmath.quad(reference, [0, x])) if x else 0.0
                 assert r.converged
@@ -358,8 +359,8 @@ class TestPrefixRead:
 
     def test_ends_are_zero_and_the_whole_run(self):
         f = evaluation_spec("x^0.5")
-        assert _integral_to(f, UNIT, 0.0, 1e-10) == QuadResult(0.0, 0.0, 0, True)
-        assert _integral_to(f, UNIT, 1.0, 1e-10) is integrate(f, UNIT, 1e-10)
+        assert _integral_to(f, UNIT, [0.0], 1e-10)[0] == QuadResult(0.0, 0.0, 0, True)
+        assert _integral_to(f, UNIT, [1.0], 1e-10)[0] is integrate(f, UNIT, 1e-10)
 
     def test_reads_panels_up_to_an_edge_without_running(self, monkeypatch):
         f = evaluation_spec("x^0.5")
@@ -372,7 +373,7 @@ class TestPrefixRead:
             return refine(sample, stack, tol, width)
 
         monkeypatch.setattr(quadrature, "_refine", recorded)
-        r = _integral_to(f, UNIT, 0.5, 1e-10)
+        r = _integral_to(f, UNIT, [0.5], 1e-10)[0]
         assert runs == []
         read = [p for p in panels if p[0] <= 0.5]
         assert r == QuadResult(
@@ -380,30 +381,30 @@ class TestPrefixRead:
         )
         # off an edge, one part-panel starts at the depth of the panel it
         # cuts, with the tolerance pro-rated over [a, x]
-        r = _integral_to(f, UNIT, 0.6, 1e-10)
+        r = _integral_to(f, UNIT, [0.6], 1e-10)[0]
         assert runs == [([(0.5, 0.6, 3, None)], 1e-10, 0.6)]
         assert [p[0] for p in panels if 0.5 < p[0] <= 0.625] == [0.625]
         assert r.evaluations == whole.evaluations + 15
         # near 0 the cut panel was split: the part-panel starts at its depth
         runs.clear()
         k = next(i for i, p in enumerate(panels) if p[0] > 0.01)
-        _integral_to(f, UNIT, 0.01, 1e-10)
+        _integral_to(f, UNIT, [0.01], 1e-10)
         assert panels[k][4] > 3
         assert runs == [([(panels[k - 1][0], 0.01, panels[k][4], None)], 1e-10, 0.01)]
 
     def test_depth_capped_panel_read_is_unconverged(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
-        r = _integral_to(evaluation_spec("x^0.5"), UNIT, 0.5, 1e-10)
+        r = _integral_to(evaluation_spec("x^0.5"), UNIT, [0.5], 1e-10)[0]
         assert not r.converged
 
     def test_domain_error_keeps_the_first_failing_node(self):
         # as for the whole run: a node of a split panel fails before any
         # node of a later starting panel
         with pytest.raises(DomainError, match=r"undefined at x=0\.3749"):
-            _integral_to(function_spec("log(0.3749 - x)"), UNIT, 0.25, 1e-10)
+            _integral_to(function_spec("log(0.3749 - x)"), UNIT, [0.25], 1e-10)
         f, g = function_spec("(0.33 - x)^0.5"), evaluation_spec("(0.3 - x)^0.5")
         with pytest.raises(DomainError, match=re.escape(g.text + " undefined")):
-            _integral_to(f, UNIT, 0.25, 1e-10, g)
+            _integral_to(f, UNIT, [0.25], 1e-10, g)
 
 
 class TestMoments:

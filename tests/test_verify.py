@@ -11,6 +11,7 @@ from convexcert.core import (
     Enclosure,
     Interval,
     Monotonicity,
+    MonotonicityViolated,
     OracleInconclusive,
     ParameterOutOfRange,
     Provenance,
@@ -29,7 +30,6 @@ from convexcert.verify import (
     random_convex_instance,
     random_monotone_weight,
     random_symmetric_weight,
-    slope_normalized,
 )
 
 # the 24 operation labels the battery must exercise every trial
@@ -137,27 +137,6 @@ class TestWeightGeneration:
         assert classify_weight(evaluation_spec(inc.function.ast), self.IV).monotone is Monotonicity.INCREASING
 
 
-class TestSlopeNormalized:
-    IV = Interval(0.0, 1.0)
-
-    def test_decreasing_function_is_lifted(self):
-        from convexcert.expr import function_spec
-
-        f = function_spec("0 - x + x^2/10")
-        g = slope_normalized(f, self.IV)
-        assert g.derivative(self.IV.a) >= 0.0
-        # curvature is untouched: the added term is affine
-        for k in range(5):
-            x = k / 4.0
-            assert g.second_derivative(x) == pytest.approx(f.second_derivative(x), abs=1e-12)
-
-    def test_nondecreasing_function_unchanged(self):
-        from convexcert.expr import function_spec
-
-        f = function_spec("exp(x)")
-        assert slope_normalized(f, self.IV) is f
-
-
 class TestFalsify:
     def test_deterministic_report(self):
         r1 = falsify(5, 7)
@@ -175,7 +154,10 @@ class TestFalsify:
         r = falsify(3, 11)
         assert set(r.op_counts) == EXPECTED_OPS
         for op, count in r.op_counts.items():
-            expected = 33 if op in ("chord_gap_bounds", "symmetric_pair_gap_bounds") else 3
+            if op in ("chord_gap_bounds", "symmetric_pair_gap_bounds"):
+                expected = 33
+            else:
+                expected = 12 if op in ("h1_functional", "h2_functional") else 3
             assert count == expected, op
 
     def test_quadratic_family_is_machine_tight(self):
@@ -207,8 +189,8 @@ class TestFalsify:
         # any change to node positions or float order in the oracle, the
         # bands or the harness moves these figures
         payload = json.loads(falsify(50, 42, 1e-10).to_json())
-        assert (payload["passed"], payload["failed"], payload["inconclusive"]) == (2200, 0, 0)
-        assert repr(payload["worst_violation"]) == "2.842170943040401e-14"
+        assert (payload["passed"], payload["failed"], payload["inconclusive"]) == (2500, 0, 0)
+        assert repr(payload["worst_violation"]) == "3.552713678800501e-14"
         assert payload["failures"] == []
 
     def test_json_lists_failures_in_field_order(self):
@@ -250,6 +232,24 @@ class TestFalsify:
         assert report.op_counts["subinterval_gap_difference_trapezoid"] == 1
         assert report.op_counts["subinterval_gap_difference_midpoint"] == 1
         assert report.op_counts["complement_weight_gap"] == 1
+
+    @pytest.mark.parametrize(
+        "error, status",
+        [(OracleInconclusive("oracle did not converge", 0.0), "inconclusive"),
+         (MonotonicityViolated("wrong direction"), "failed")],
+        ids=["inconclusive", "refused"],
+    )
+    def test_a_raising_functional_counts_each_step(self, monkeypatch, error, status):
+        # the 4 steps of h1 and of h2 share one call; when it raises, each
+        # step is still one outcome, so a trial keeps CHECKS_PER_TRIAL
+        def raising(*args):
+            raise error
+
+        monkeypatch.setattr(bounds, "functional_increments", raising)
+        report = falsify(1, 42)
+        assert report.passed + report.failed + report.inconclusive == CHECKS_PER_TRIAL
+        assert report.op_counts["h1_functional"] == report.op_counts["h2_functional"] == 4
+        assert getattr(report, status) == 8
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ParameterOutOfRange):
